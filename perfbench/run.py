@@ -1,4 +1,4 @@
-"""regimevol benchmark: four workloads, end-to-end metrics, a traced per-layer run.
+"""regimevol benchmark: workloads, end-to-end metrics, a traced per-layer run.
 
 Usage, from the repository root:
 
@@ -18,6 +18,10 @@ Usage, from the repository root:
 per-layer metrics from spans recorded around calls into each module's public
 functions (see ``spans.py``).  Either way every output is checked against
 ``reference.json``; the last stdout line is the JSON result.
+
+``BENCHMARK.json`` lists the workloads whose metrics gate a change.
+``screen-panel-500`` runs the same way but is not listed there; see its
+class in ``workloads.py`` for why.
 
 The program runs from ``src/`` of the checkout; nothing is installed.  BLAS
 and OpenMP are pinned to one thread (one process, one thread), and the
@@ -467,8 +471,8 @@ def smoke() -> int:
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     names = [w["name"] for w in spec["workloads"]]
-    assert sorted(names) == sorted(WORKLOADS), f"BENCHMARK.json workloads {names}"
-    for name in names:
+    assert set(names) <= set(WORKLOADS), f"BENCHMARK.json workloads {names}"
+    for name in WORKLOADS:
         tiny_reference = {name: {"0": collect_outputs(name, 0, "tiny")}}
         for trace, listed in ((0, spec["end_to_end"]), (1, spec["per_layer"])):
             lines: list[str] = []
