@@ -218,7 +218,7 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _cmd_run(args) -> int:
+def _run_config(args) -> pipeline.PipelineConfig:
     if args.config:
         try:
             with open(args.config) as handle:
@@ -227,21 +227,29 @@ def _cmd_run(args) -> int:
             raise RegimevolError(f"cannot open config {args.config}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise RegimevolError(f"invalid config JSON: {exc}") from exc
-        config = pipeline.PipelineConfig.from_dict(payload)
-    else:
-        if not args.input:
-            raise RegimevolError("provide --config or --input")
-        overrides: dict = {
-            "input_path": args.input,
-            "break_date": args.break_date,
-            "break_index": args.break_index,
-            "volatility_window": args.window,
-            "ar_max_order": args.ar_max_order,
-            "significance": args.significance,
-            "seed": args.seed,
-            "output_dir": args.output_dir,
-        }
-        config = pipeline.PipelineConfig.from_dict(overrides)
+        if not isinstance(payload, dict):
+            raise RegimevolError(f"config must be a JSON object, got {type(payload).__name__}")
+        return pipeline.PipelineConfig.from_dict(payload)
+    if not args.input:
+        raise RegimevolError("provide --config or --input")
+    overrides: dict = {
+        "input_path": args.input,
+        "break_date": args.break_date,
+        "break_index": args.break_index,
+        "volatility_window": args.window,
+        "ar_max_order": args.ar_max_order,
+        "significance": args.significance,
+        "seed": args.seed,
+        "output_dir": args.output_dir,
+    }
+    return pipeline.PipelineConfig.from_dict(overrides)
+
+
+def _cmd_run(args) -> int:
+    try:
+        config = _run_config(args)
+    except (RegimevolError, ValueError) as exc:
+        raise PipelineError("config", str(exc)) from exc
     artifacts = pipeline.run_pipeline(config)
     for name in sorted(artifacts):
         print(f"{name}: {artifacts[name]}")
@@ -355,7 +363,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except PipelineError as exc:
-        print(f"ERROR stage={exc.stage}: {exc}", file=sys.stderr)
+        # the message already starts with "stage=<name>: "
+        print(f"ERROR {exc}", file=sys.stderr)
         return 1
     except RegimevolError as exc:
         print(f"ERROR stage={args.command}: {exc}", file=sys.stderr)

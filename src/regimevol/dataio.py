@@ -85,11 +85,14 @@ def read_series_csv(path) -> np.ndarray:
                 continue
             cell = row[-1].strip()
             try:
-                values.append(float(cell))
+                value = float(cell)
             except ValueError:
                 if line_no == 1:
                     continue  # header
                 raise ParseError(f"line {line_no}: invalid value {cell!r}") from None
+            if not np.isfinite(value):
+                raise ParseError(f"line {line_no}: value must be finite, got {cell!r}")
+            values.append(value)
     if not values:
         raise EmptyFile(f"{path} has no data rows")
     return np.array(values)

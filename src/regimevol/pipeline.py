@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import datetime as dt
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from . import dataio
 from .errors import PipelineError, RegimevolError
@@ -62,7 +62,16 @@ class ModelRequest:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ModelRequest":
+        _reject_unknown_keys(cls, payload, "a model entry")
         return cls(**payload)
+
+
+def _reject_unknown_keys(cls, payload: dict, where: str) -> None:
+    if not isinstance(payload, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(payload).__name__}")
+    unknown = sorted(set(payload) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown key {', '.join(map(repr, unknown))} in {where}")
 
 
 def _default_models() -> list[ModelRequest]:
@@ -104,6 +113,7 @@ class PipelineConfig:
     def from_dict(cls, payload: dict) -> "PipelineConfig":
         payload = dict(payload)
         payload.pop("schema_version", None)
+        _reject_unknown_keys(cls, payload, "the run config")
         if ENV_OUTPUT_DIR in os.environ:
             payload["output_dir"] = os.environ[ENV_OUTPUT_DIR]
         if ENV_SEED in os.environ:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     ExplosivePath,
@@ -462,13 +463,20 @@ def _transition_weights(kind: str, z, gamma, c):
     return 1.0 - np.exp(-gamma * diff * diff)
 
 
-def _profiled_grid(base, block, y, z, gammas, c_values, kind):
+def _profiled_grid(base, block, y, z, gammas, c_values, kind, time_threshold):
     """Best (gamma, c) over the grid, profiling out the linear coefficients.
 
     For each candidate the design is [base, G*block] and the coefficients
     solve by OLS through batched Gram assembly.  Returns (gamma, c, rss) of
     the winner; candidates whose design is rank deficient are skipped.
     Candidates are scanned gamma-major, c-minor, and ties keep the first.
+
+    ``time_threshold`` requires z to be consecutive integers and every c one
+    of them.  Then G at row i depends on z[i] - c alone, so each chunk
+    evaluates the transition of each of its gammas once on the lags
+    -(rows-1)..rows-1, and every c takes its window of it.  The lags are the
+    same floats as z - c, so the weights, and everything after them, are
+    bit-identical to evaluating each candidate.
     """
     rows, kb = base.shape
     ka = block.shape[1]
@@ -485,11 +493,27 @@ def _profiled_grid(base, block, y, z, gammas, c_values, kind):
     best_rss, best_gamma, best_c = np.inf, None, None
     order_gamma = np.repeat(gammas, n_c)
     order_c = np.tile(c_values, len(gammas))
+    if time_threshold:
+        lags = np.arange(-(rows - 1), rows, dtype=float)
+        # window start in ``lags`` for each c: lags[start + i] == z[i] - c
+        window_start = (z[0] - c_values).astype(np.intp) + (rows - 1)
 
     for start in range(0, len(order_gamma), _GRID_CHUNK):
-        g_par = order_gamma[start : start + _GRID_CHUNK, None]
-        c_par = order_c[start : start + _GRID_CHUNK, None]
-        weights = _transition_weights(kind, z[None, :], g_par, c_par)
+        stop = min(start + _GRID_CHUNK, len(order_gamma))
+        if time_threshold:
+            g_first = start // n_c
+            g_span = gammas[g_first : (stop - 1) // n_c + 1, None]
+            table = _transition_weights(kind, lags[None, :], g_span, 0.0)
+            candidates = np.arange(start, stop)
+            pick_g = candidates // n_c - g_first
+            pick_c = window_start[candidates % n_c]
+            weights = sliding_window_view(table, rows, axis=1)[pick_g, pick_c]
+            squares = sliding_window_view(table * table, rows, axis=1)[pick_g, pick_c]
+        else:
+            g_par = order_gamma[start:stop, None]
+            c_par = order_c[start:stop, None]
+            weights = _transition_weights(kind, z[None, :], g_par, c_par)
+            squares = weights * weights
         m = weights.shape[0]
 
         gram = np.empty((m, k, k))
@@ -497,7 +521,7 @@ def _profiled_grid(base, block, y, z, gammas, c_values, kind):
         upper = (weights @ cross).reshape(m, kb, ka)
         gram[:, :kb, kb:] = upper
         gram[:, kb:, :kb] = upper.transpose(0, 2, 1)
-        lower_entries = (weights * weights) @ auto
+        lower_entries = squares @ auto
         lower = np.zeros((m, ka, ka))
         lower[:, tri[0], tri[1]] = lower_entries
         lower[:, tri[1], tri[0]] = lower_entries
@@ -506,6 +530,9 @@ def _profiled_grid(base, block, y, z, gammas, c_values, kind):
         rhs = np.empty((m, k))
         rhs[:, :kb] = bty
         rhs[:, kb:] = weights @ block_y
+        # freed here, not when the next chunk rebinds them, so the grid holds
+        # at most two (chunk, rows) arrays instead of three
+        del weights, squares
 
         eigs = np.linalg.eigvalsh(gram)
         feasible = (eigs[:, 0] > eigs[:, -1] * _EIG_RATIO) & (eigs[:, -1] > 0)
@@ -584,7 +611,10 @@ def fit_lstar(
     c_candidates = z_sorted[positions]
     gammas = np.unique(np.append(grid.values(), gamma_init))
 
-    gamma1, c1, _ = _profiled_grid(design, design, y, z, gammas, c_candidates, transition)
+    time_threshold = tv.kind == TIME
+    gamma1, c1, _ = _profiled_grid(
+        design, design, y, z, gammas, c_candidates, transition, time_threshold
+    )
     grid_gammas = [gamma1]
     grid_cs = [c1]
 
@@ -601,7 +631,7 @@ def fit_lstar(
         if not feasible_c2:
             raise NoFeasibleThreshold("no feasible second threshold given the first")
         gamma2, c2, _ = _profiled_grid(
-            base2, design, y, z, gammas, np.asarray(feasible_c2), transition
+            base2, design, y, z, gammas, np.asarray(feasible_c2), transition, time_threshold
         )
         grid_gammas.append(gamma2)
         grid_cs.append(c2)

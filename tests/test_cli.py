@@ -192,6 +192,69 @@ class TestCliCommands:
         err_lines = [l for l in captured.err.splitlines() if l.strip()]
         assert len(err_lines) == 1
         assert err_lines[0].startswith("ERROR stage=")
+        assert err_lines[0].count("stage=") == 1
+
+    @pytest.mark.parametrize(
+        "argv, stage, fragment",
+        [
+            pytest.param(
+                ["run", "--input", "{tmp}/missing.csv", "--break-index", "10",
+                 "--output-dir", "{tmp}/out"],
+                "ingest", "cannot open", id="run-missing-input",
+            ),
+            pytest.param(
+                ["run", "--config", "{tmp}/unknown-key.json"],
+                "config", "'colour'", id="config-unknown-key",
+            ),
+            pytest.param(
+                ["run", "--config", "{tmp}/unknown-model-key.json"],
+                "config", "'lags'", id="model-entry-unknown-key",
+            ),
+            pytest.param(
+                ["run", "--config", "{tmp}/list.json"],
+                "config", "JSON object", id="config-not-an-object",
+            ),
+            pytest.param(
+                ["run", "--config", "{tmp}/string-model.json"],
+                "config", "JSON object", id="model-entry-not-an-object",
+            ),
+            pytest.param(["fit", "ar", "{tmp}/nan.csv"], "fit", "line 4", id="fit-ar-nan"),
+            pytest.param(["fit", "setar", "{tmp}/nan.csv"], "fit", "line 4", id="fit-setar-nan"),
+            pytest.param(["fit", "lstar", "{tmp}/inf.csv"], "fit", "line 4", id="fit-lstar-inf"),
+        ],
+    )
+    def test_malformed_input_is_one_error_line(
+        self, argv, stage, fragment, price_csv, break_date, tmp_path, capsys
+    ):
+        config = {
+            "input_path": price_csv,
+            "break_date": break_date,
+            "volatility_window": 30,
+            "output_dir": str(tmp_path / "run-out"),
+        }
+        (tmp_path / "unknown-key.json").write_text(
+            json.dumps({**config, "colour": "blue"})
+        )
+        (tmp_path / "unknown-model-key.json").write_text(
+            json.dumps({**config, "models": [{"kind": "ar", "order": 1, "lags": 2}]})
+        )
+        (tmp_path / "list.json").write_text(json.dumps([config]))
+        (tmp_path / "string-model.json").write_text(json.dumps({**config, "models": ["ar"]}))
+        values = [f"{i},{0.01 + 0.001 * (i % 7)}" for i in range(1, 61)]
+        for cell in ("nan", "inf"):
+            rows = ["index,value"] + values
+            rows[3] = f"3,{cell}"
+            (tmp_path / f"{cell}.csv").write_text("\n".join(rows) + "\n")
+
+        code = main([a.format(tmp=tmp_path) for a in argv])
+        err = capsys.readouterr().err
+        err_lines = [l for l in err.splitlines() if l.strip()]
+        assert code == 1
+        assert len(err_lines) == 1, err
+        assert err_lines[0].startswith(f"ERROR stage={stage}: ")
+        assert err_lines[0].count("stage=") == 1
+        assert fragment in err_lines[0]
+        assert "Traceback" not in err
 
     def test_env_override_of_seed_and_output_dir(self, price_csv, break_date, tmp_path, monkeypatch):
         override_dir = tmp_path / "env-out"

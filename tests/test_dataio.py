@@ -82,6 +82,13 @@ class TestSeriesCsv:
         with pytest.raises(ParseError, match="line 3"):
             read_series_csv(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_value_names_line(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"index,value\n1,0.5\n2,{cell}\n3,0.7\n")
+        with pytest.raises(ParseError, match="line 3"):
+            read_series_csv(path)
+
 
 class TestModelJson:
     def test_regime_model_round_trip(self, setar_generator, tmp_path):

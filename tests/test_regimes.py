@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regimevol import (
     ExplosivePath,
@@ -13,10 +15,13 @@ from regimevol import (
     fit_setar,
     logistic_transition,
     one_step_fitted,
+    regimes,
     select_ar_order,
     simulate,
 )
 from regimevol.regimes import LAGGED_VALUE, TIME, ThresholdVariable
+from regimevol.regression import ols_fit
+from regimevol.series import lag_design
 from tests.conftest import make_regime_model
 
 
@@ -240,6 +245,123 @@ class TestFitLstar:
         b = fit_lstar(x, 1, 1, ThresholdVariable(LAGGED_VALUE, 1), refine=False)
         assert a.transitions[0].gamma == b.transitions[0].gamma
         assert a.transitions[0].c == b.transitions[0].c
+
+
+def _grid_inputs(x, tv):
+    """Design, response, threshold values and c candidates as fit_lstar builds them."""
+    design, y = lag_design(x, 1)
+    z = regimes._threshold_row_values(tv, x, 1)
+    z_sorted = np.sort(z, kind="stable")
+    positions = regimes._split_positions(z_sorted, regimes._min_count(len(y), 0.15, 1))
+    return design, y, z, z_sorted[positions]
+
+
+def _weights(kind, z, gamma, c):
+    return TransitionSpec(kind, gamma, c).weights(z)
+
+
+class TestProfiledGridOracle:
+    """The (gamma, c) grid against a per-candidate ``ols_fit`` loop."""
+
+    @staticmethod
+    def oracle(base, block, y, z, gammas, c_values, kind):
+        """Lowest RSS over the candidates, and the condition number of its design.
+
+        A candidate counts when its design has condition number below 1e6,
+        the grid's rank rule (Gram eigenvalue ratio above 1e-12).
+        """
+        best_rss, best_cond = np.inf, None
+        for gamma in gammas:
+            for c in c_values:
+                candidate = np.hstack([base, _weights(kind, z, gamma, c)[:, None] * block])
+                sv = np.linalg.svd(candidate, compute_uv=False)
+                if not sv[-1] > sv[0] * 1e-6:
+                    continue
+                try:
+                    rss = ols_fit(candidate, y).rss
+                except RankDeficient:
+                    continue
+                if rss < best_rss:
+                    best_rss, best_cond = rss, sv[0] / sv[-1]
+        return best_rss, best_cond
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(30, 80),
+        tv_kind=st.sampled_from([TIME, LAGGED_VALUE]),
+        kind=st.sampled_from(["logistic", "exponential"]),
+        second=st.booleans(),
+        gammas=st.lists(st.floats(0.5, 200.0), min_size=1, max_size=10, unique=True),
+    )
+    def test_grid_minimum_matches_oracle(self, seed, n, tv_kind, kind, second, gammas):
+        rng = np.random.default_rng(seed)
+        noise = rng.normal(size=n)
+        x = np.empty(n)
+        x[0] = noise[0]
+        for t in range(1, n):
+            x[t] = 0.5 * x[t - 1] + noise[t]
+        tv = ThresholdVariable(tv_kind, 1)
+        design, y, z, c_values = _grid_inputs(x, tv)
+        gammas = np.sort(gammas)
+        base = design
+        if second:
+            first = _weights(kind, z, 2.0, c_values[len(c_values) // 2])
+            base = np.hstack([design, first[:, None] * design])
+
+        expected, cond = self.oracle(base, design, y, z, gammas, c_values, kind)
+        if not np.isfinite(expected):
+            with pytest.raises(NoFeasibleThreshold):
+                regimes._profiled_grid(base, design, y, z, gammas, c_values, kind, tv_kind == TIME)
+            return
+        gamma, c, rss = regimes._profiled_grid(
+            base, design, y, z, gammas, c_values, kind, tv_kind == TIME
+        )
+        winner = np.hstack([base, _weights(kind, z, gamma, c)[:, None] * design])
+        sv = np.linalg.svd(winner, compute_uv=False)
+        cond = max(cond, sv[0] / sv[-1])
+        # the grid solves normal equations, whose RSS carries an error of
+        # about eps * cond^2 * y'y; well-conditioned winners meet 1e-9 alone
+        tolerance = 1e-9 + np.finfo(float).eps * cond**2 * (y @ y) / expected
+        assert rss == pytest.approx(expected, rel=tolerance)
+
+
+class TestTimeThresholdGrid:
+    """Shifted windows of one transition per gamma against per-candidate weights."""
+
+    @staticmethod
+    def grid_results(monkeypatch, x, transitions, kind, shifted):
+        results = []
+        computed = regimes._profiled_grid
+
+        def recording(*args):
+            assert args[-1] is True  # fit_lstar takes the shifted path on time
+            out = computed(*args[:-1], shifted)
+            results.append((out, len(args[4]) * len(args[5])))
+            return out
+
+        with monkeypatch.context() as patch:
+            patch.setattr(regimes, "_profiled_grid", recording)
+            fit_lstar(
+                x, 1, transitions, ThresholdVariable(TIME),
+                gamma_grid=GammaGrid(points=40), transition=kind, refine=False,
+            )
+        return results
+
+    @pytest.mark.parametrize("kind", ["logistic", "exponential"])
+    @pytest.mark.parametrize("transitions", [1, 2])
+    @pytest.mark.parametrize("n", [60, 300])
+    def test_shifted_windows_equal_computed_weights(
+        self, monkeypatch, lstar_time_generator, n, transitions, kind
+    ):
+        x = simulate(lstar_time_generator, n, 0.05, seed=n + transitions)
+        shifted = self.grid_results(monkeypatch, x, transitions, kind, True)
+        computed = self.grid_results(monkeypatch, x, transitions, kind, False)
+        assert len(shifted) == transitions
+        assert shifted == computed
+        if n == 300:
+            # the first grid spans more than one chunk
+            assert shifted[0][1] > regimes._GRID_CHUNK
 
 
 class TestOneStepFitted:
