@@ -15,11 +15,8 @@ import sys
 
 from . import dataio, pipeline
 from .errors import PipelineError, RegimevolError
-from .linearity import terasvirta_first_order, terasvirta_zero_order
 from .regimes import simulate as simulate_model
-from .selection import compare as compare_models
-from .series import log_returns, realized_volatility
-from .stationarity import NULL_BREAK, TREND_BREAK, perron_detrend, phillips_perron
+from .stationarity import NULL_BREAK, TREND_BREAK
 
 
 def _emit(payload: dict, output: str | None) -> None:
@@ -46,22 +43,11 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_transform(args) -> int:
     prices = dataio.ingest(args.input)
-    returns = log_returns(prices)
-    volatility = realized_volatility(returns, args.window, centered=not args.uncentered)
     os.makedirs(args.output_dir, exist_ok=True)
     returns_path = os.path.join(args.output_dir, "returns.csv")
     vol_path = os.path.join(args.output_dir, "volatility.csv")
-    dataio.write_series_csv(
-        returns_path,
-        returns.values,
-        index=[d.isoformat() for d in prices.timestamps[1:]],
-        header=("date", "value"),
-    )
-    dataio.write_series_csv(
-        vol_path,
-        volatility.values,
-        index=[d.isoformat() for d in prices.timestamps[args.window:]],
-        header=("date", "value"),
+    returns, volatility = pipeline.transform(
+        prices, args.window, not args.uncentered, returns_path, vol_path
     )
     print(f"wrote {returns_path} ({len(returns)} rows) and {vol_path} ({len(volatility)} rows)")
     return 0
@@ -69,31 +55,11 @@ def _cmd_transform(args) -> int:
 
 def _cmd_test_unitroot(args) -> int:
     prices = dataio.ingest(args.input)
-    if (args.break_date is None) == (args.break_index is None):
-        raise RegimevolError("provide exactly one of --break-date / --break-index")
-    if args.break_index is not None:
-        break_index = args.break_index
-    else:
-        import datetime as dt
-
-        target = dt.date.fromisoformat(args.break_date)
-        matches = [i + 1 for i, d in enumerate(prices.timestamps) if d == target]
-        if not matches:
-            raise RegimevolError(f"break date {args.break_date} not found in input dates")
-        break_index = matches[0]
-    detrend = perron_detrend(prices, break_index, args.specification)
-    pp = phillips_perron(detrend.residuals)
+    significance = pipeline.PipelineConfig.significance  # the run's default
     _emit(
-        {
-            "break_index": break_index,
-            "specification": detrend.specification,
-            "detrend_coefficients": list(detrend.coefficients),
-            "z_statistic": pp.z_statistic,
-            "p_value": pp.p_value,
-            "bandwidth": pp.bandwidth,
-            "long_run_variance": pp.long_run_variance,
-            "critical_values": {str(k): v for k, v in pp.critical_values.items()},
-        },
+        pipeline.unitroot(
+            prices, args.break_date, args.break_index, args.specification, significance
+        ),
         args.output,
     )
     return 0
@@ -101,18 +67,7 @@ def _cmd_test_unitroot(args) -> int:
 
 def _cmd_test_linearity(args) -> int:
     values = dataio.read_series_csv(args.input)
-    zero = terasvirta_zero_order(values, args.ar_order, args.significance)
-    first = terasvirta_first_order(values, max(1, args.ar_order), args.significance)
-    _emit(
-        {
-            "ar_order": args.ar_order,
-            "significance": args.significance,
-            "zero_order": pipeline._linearity_dict(zero),
-            "first_order": pipeline._linearity_dict(first),
-            "verdict": first.verdict,
-        },
-        args.output,
-    )
+    _emit(pipeline.linearity(values, args.significance, ar_order=args.ar_order), args.output)
     return 0
 
 
@@ -137,20 +92,10 @@ def _model_request_from_args(args) -> pipeline.ModelRequest:
 
 def _cmd_fit(args) -> int:
     values = dataio.read_series_csv(args.input)
-    request = _model_request_from_args(args)
-    model = pipeline._fit_request(request, values, args.seed)
     os.makedirs(args.output_dir, exist_ok=True)
     model_path = os.path.join(args.output_dir, "model.json")
     fitted_path = os.path.join(args.output_dir, "fitted.csv")
-    dataio.write_json(model_path, dataio.model_to_dict(model))
-    if hasattr(model, "kind"):
-        dataio.emit_plot_data(model, fitted_path, series=values)
-    else:
-        fitted, residuals = model.one_step(values)
-        dataio.write_series_csv(
-            fitted_path, fitted, index=range(model.order + 1, len(values) + 1),
-            header=("index", "fitted"),
-        )
+    pipeline.fit(_model_request_from_args(args), values, args.seed, model_path, fitted_path)
     print(f"wrote {model_path} and {fitted_path}")
     return 0
 
@@ -185,35 +130,14 @@ def _cmd_compare(args) -> int:
     requests = [_parse_model_spec(s) for s in args.model]
     if len(requests) < 2:
         raise RegimevolError("compare needs at least two --model specs")
-    models = [pipeline._fit_request(r, values, args.seed) for r in requests]
-    report = compare_models(models, values)
+    models = [pipeline.fit(r, values, args.seed) for r in requests]
     os.makedirs(args.output_dir, exist_ok=True)
-    json_path = os.path.join(args.output_dir, "comparison.json")
-    text_path = os.path.join(args.output_dir, "comparison.txt")
-    dataio.write_json(
-        json_path,
-        {
-            "common_sample": report.common_sample,
-            "best_by_aic": report.best_by_aic,
-            "best_by_bic": report.best_by_bic,
-            "best_by_mape": report.best_by_mape,
-            "scores": [
-                {
-                    "model_id": s.model_id,
-                    "n_obs": s.n_obs,
-                    "n_params": s.n_params,
-                    "rss": s.rss,
-                    "aic": s.aic,
-                    "bic": s.bic,
-                    "mape": s.mape,
-                    "mape_n_excluded": s.mape_n_excluded,
-                }
-                for s in report.scores
-            ],
-        },
+    report = pipeline.compare(
+        models,
+        values,
+        os.path.join(args.output_dir, "comparison.json"),
+        os.path.join(args.output_dir, "comparison.txt"),
     )
-    with open(text_path, "w") as handle:
-        handle.write(report.to_text() + "\n")
     print(report.to_text())
     return 0
 

@@ -14,13 +14,7 @@ import numpy as np
 
 from .errors import EmptyFile, IoError, ParseError
 from .neural import NnetArModel
-from .regimes import (
-    RegimeModel,
-    ThresholdVariable,
-    TransitionSpec,
-    _threshold_row_values,
-    one_step_fitted,
-)
+from .regimes import RegimeModel
 from .series import PriceSeries, series_values
 
 SCHEMA_VERSION = 1
@@ -102,12 +96,17 @@ def write_series_csv(path, values, index=None, header=("index", "value")) -> Non
     values = series_values(values)
     if index is None:
         index = range(1, len(values) + 1)
+    _write_csv(path, header, zip(index, values.tolist()))
+
+
+def _write_csv(path, header, rows) -> None:
+    # cells are Python ints, floats and strings, and str(float) is its
+    # shortest round-trip repr
     try:
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(header)
-            for i, v in zip(index, values):
-                writer.writerow([i, repr(float(v))])
+            writer.writerows(rows)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
@@ -142,89 +141,15 @@ def _plain(obj):
     return obj
 
 
-def regime_model_to_dict(model: RegimeModel) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "model": "regime",
-        "kind": model.kind,
-        "order": model.order,
-        "regimes": [list(r) for r in model.regimes],
-        "thresholds": list(model.thresholds),
-        "transitions": [
-            {"kind": t.kind, "gamma": t.gamma, "c": t.c} for t in model.transitions
-        ],
-        "threshold_variable": {
-            "kind": model.threshold_variable.kind,
-            "delay": model.threshold_variable.delay,
-        },
-        "rss": model.rss,
-        "regime_proportions": list(model.regime_proportions),
-        "n_parameters": model.n_parameters,
-        "converged": model.converged,
-        "standard_errors": None
-        if model.standard_errors is None
-        else list(model.standard_errors),
-        "parameter_names": None
-        if model.parameter_names is None
-        else list(model.parameter_names),
-    }
-
-
-def nnet_model_to_dict(model: NnetArModel) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "model": "nnet",
-        "n_inputs": model.n_inputs,
-        "n_hidden": model.n_hidden,
-        "output_bias": model.output_bias,
-        "output_weights": list(model.output_weights),
-        "hidden_biases": list(model.hidden_biases),
-        "hidden_weights": [list(row) for row in model.hidden_weights],
-        "skip_weights": None if model.skip_weights is None else list(model.skip_weights),
-        "n_parameters": model.n_parameters,
-    }
-
-
 def model_to_dict(model) -> dict:
-    if isinstance(model, RegimeModel):
-        return regime_model_to_dict(model)
-    if isinstance(model, NnetArModel):
-        return nnet_model_to_dict(model)
-    raise TypeError(f"cannot serialize {type(model).__name__}")
+    return {"schema_version": SCHEMA_VERSION, **model.to_dict()}
 
 
 def model_from_dict(payload: dict):
     """Rebuild a model from its JSON dict (fit diagnostics are not restored)."""
     if payload.get("model") == "nnet":
-        skip = payload.get("skip_weights")
-        return NnetArModel(
-            n_inputs=int(payload["n_inputs"]),
-            n_hidden=int(payload["n_hidden"]),
-            output_bias=float(payload["output_bias"]),
-            output_weights=np.array(payload["output_weights"], dtype=float),
-            hidden_biases=np.array(payload["hidden_biases"], dtype=float),
-            hidden_weights=np.array(payload["hidden_weights"], dtype=float),
-            skip_weights=None if skip is None else np.array(skip, dtype=float),
-        )
-    tv = payload.get("threshold_variable", {"kind": "time", "delay": 1})
-    return RegimeModel(
-        kind=payload["kind"],
-        order=int(payload["order"]),
-        regimes=tuple(np.array(r, dtype=float) for r in payload["regimes"]),
-        thresholds=np.array(payload["thresholds"], dtype=float),
-        transitions=tuple(
-            TransitionSpec(kind=t["kind"], gamma=float(t["gamma"]), c=float(t["c"]))
-            for t in payload["transitions"]
-        ),
-        threshold_variable=ThresholdVariable(kind=tv["kind"], delay=int(tv.get("delay", 1))),
-        rss=float(payload.get("rss", 0.0)),
-        fitted=np.empty(0),
-        residuals=np.empty(0),
-        regime_proportions=np.array(
-            payload.get("regime_proportions", [1.0] * len(payload["regimes"])), dtype=float
-        ),
-        converged=bool(payload.get("converged", True)),
-    )
+        return NnetArModel.from_dict(payload)
+    return RegimeModel.from_dict(payload)
 
 
 def load_model_json(path):
@@ -241,46 +166,15 @@ def load_model_json(path):
 def emit_plot_data(obj, path, series=None) -> None:
     """Write plot-ready CSV for a series or a fitted model.
 
-    Series objects produce (index-or-date, value) rows.  Regime models (with
-    the estimation series supplied) produce per-row fitted/residual columns
-    plus regime membership (hard-threshold kinds) or one transition-weight
-    column per smooth transition.
+    Series objects produce (index-or-date, value) rows.  A model, given the
+    series it was fitted on, produces the columns of its ``fitted_columns``:
+    per-row fitted values, plus actuals, residuals and regime membership or
+    transition weights for the regime models.
     """
-    if isinstance(obj, RegimeModel):
-        if series is None:
-            raise ValueError("plot data for a model needs the series it was fitted on")
-        x = series_values(series)
-        fitted, residuals = one_step_fitted(obj, x)
-        z = _threshold_row_values(obj.threshold_variable, x, obj.order)
-        rows = np.arange(obj.order + 1, len(x) + 1)
-        actual = x[obj.order :]
-        try:
-            with open(path, "w", newline="") as handle:
-                writer = csv.writer(handle)
-                if obj.kind in ("ar", "setar"):
-                    writer.writerow(["index", "actual", "fitted", "residual", "regime"])
-                    if len(obj.thresholds):
-                        regime = np.searchsorted(obj.thresholds, z, side="right")
-                    else:
-                        regime = np.zeros(len(z), dtype=int)
-                    for i in range(len(rows)):
-                        writer.writerow(
-                            [rows[i], repr(actual[i]), repr(fitted[i]), repr(residuals[i]), int(regime[i])]
-                        )
-                else:
-                    weight_names = [f"weight{j + 1}" for j in range(len(obj.transitions))]
-                    writer.writerow(["index", "actual", "fitted", "residual", *weight_names])
-                    weights = [t.weights(z) for t in obj.transitions]
-                    for i in range(len(rows)):
-                        writer.writerow(
-                            [rows[i], repr(actual[i]), repr(fitted[i]), repr(residuals[i])]
-                            + [repr(float(w[i])) for w in weights]
-                        )
-        except OSError as exc:
-            raise IoError(f"cannot write {path}: {exc}") from exc
-        return
-
-    if isinstance(obj, PriceSeries):
+    if series is not None:
+        columns = obj.fitted_columns(series)
+        _write_csv(path, list(columns), zip(*(c.tolist() for c in columns.values())))
+    elif isinstance(obj, PriceSeries):
         write_series_csv(path, obj.values, index=[d.isoformat() for d in obj.timestamps], header=("date", "value"))
-        return
-    write_series_csv(path, series_values(obj))
+    else:
+        write_series_csv(path, series_values(obj))

@@ -14,19 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteLoss, SeriesTooShort
+from .regimes import _masked_logistic
 from .series import series_values
 
 _ARMIJO = 1e-4
 _MIN_STEP = 1e-18
-
-
-def _logistic(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    expa = np.exp(x[~pos])
-    out[~pos] = expa / (1.0 + expa)
-    return out
 
 
 @dataclass(frozen=True)
@@ -121,6 +113,42 @@ class NnetArModel:
         fitted = predict(self, lag_matrix)
         return fitted, targets - fitted
 
+    def step(self, history, t: float) -> float:
+        """Noise-free next value after ``history`` (oldest first); ``t`` is unused."""
+        return forward(self, history[-self.n_inputs :][::-1])
+
+    def fitted_columns(self, series) -> dict[str, np.ndarray]:
+        """Columns of the fitted CSV: row index and one-step fitted value."""
+        fitted, _ = self.one_step(series)
+        start = self.n_inputs + 1
+        return {"index": np.arange(start, start + len(fitted)), "fitted": fitted}
+
+    def to_dict(self) -> dict:
+        return {
+            "model": "nnet",
+            "n_inputs": self.n_inputs,
+            "n_hidden": self.n_hidden,
+            "output_bias": self.output_bias,
+            "output_weights": list(self.output_weights),
+            "hidden_biases": list(self.hidden_biases),
+            "hidden_weights": [list(row) for row in self.hidden_weights],
+            "skip_weights": None if self.skip_weights is None else list(self.skip_weights),
+            "n_parameters": self.n_parameters,
+        }
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> "NnetArModel":
+        skip = payload.get("skip_weights")
+        return cls(
+            n_inputs=int(payload["n_inputs"]),
+            n_hidden=int(payload["n_hidden"]),
+            output_bias=float(payload["output_bias"]),
+            output_weights=np.array(payload["output_weights"], dtype=float),
+            hidden_biases=np.array(payload["hidden_biases"], dtype=float),
+            hidden_weights=np.array(payload["hidden_weights"], dtype=float),
+            skip_weights=None if skip is None else np.array(skip, dtype=float),
+        )
+
 
 def lag_matrix_for(values, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Rows of (X_{t-1}, ..., X_{t-m}) and the targets X_t."""
@@ -139,7 +167,7 @@ def predict(model: NnetArModel, lag_matrix: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(
             f"expected {model.n_inputs} lag columns, got {lag_matrix.shape[1]}"
         )
-    activations = _logistic(model.hidden_biases + lag_matrix @ model.hidden_weights)
+    activations = _masked_logistic(model.hidden_biases + lag_matrix @ model.hidden_weights)
     out = model.output_bias + activations @ model.output_weights
     if model.skip_weights is not None:
         out = out + lag_matrix @ model.skip_weights
@@ -186,7 +214,7 @@ def gradient(model: NnetArModel, lag_matrix: np.ndarray, targets: np.ndarray) ->
         raise DimensionMismatch(
             f"expected {model.n_inputs} lag columns, got {lag_matrix.shape[1]}"
         )
-    activations = _logistic(model.hidden_biases + lag_matrix @ model.hidden_weights)
+    activations = _masked_logistic(model.hidden_biases + lag_matrix @ model.hidden_weights)
     out = model.output_bias + activations @ model.output_weights
     if model.skip_weights is not None:
         out = out + lag_matrix @ model.skip_weights

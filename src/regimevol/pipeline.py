@@ -1,15 +1,20 @@
 """End-to-end orchestration: ingest -> transform -> tests -> fits -> report.
 
-Every stage writes its artifact to the output directory and any failure is
-re-raised as a PipelineError naming the stage.  Given the same config the
-run is fully deterministic, including the JSON bytes on disk.
+Each step is one function here - ``transform``, ``unitroot``, ``linearity``,
+``fit`` and ``compare`` - that returns its result and writes its artifact;
+the CLI subcommands and ``run_pipeline`` both call them.  In a run any
+failure is re-raised as a PipelineError naming the stage.  Given the same
+config the run is fully deterministic, including the JSON bytes on disk.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 import os
-from dataclasses import dataclass, field, fields
+import types
+import typing
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field, fields
 
 from . import dataio
 from .errors import PipelineError, RegimevolError
@@ -62,16 +67,29 @@ class ModelRequest:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ModelRequest":
-        _reject_unknown_keys(cls, payload, "a model entry")
+        _check_payload(cls, payload, "a model entry")
         return cls(**payload)
 
 
-def _reject_unknown_keys(cls, payload: dict, where: str) -> None:
+def _check_payload(cls, payload: dict, where: str) -> None:
+    """Reject a non-object, unknown keys and values of the wrong JSON type."""
     if not isinstance(payload, dict):
         raise ValueError(f"{where} must be a JSON object, got {type(payload).__name__}")
     unknown = sorted(set(payload) - {f.name for f in fields(cls)})
     if unknown:
         raise ValueError(f"unknown key {', '.join(map(repr, unknown))} in {where}")
+    hints = typing.get_type_hints(cls)
+    for key, value in payload.items():
+        hint = hints[key]
+        allowed = typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
+        allowed = tuple(typing.get_origin(t) or t for t in allowed)  # list[X] -> list
+        if float in allowed:
+            allowed += (int,)
+        if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
+            expected = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
+            raise ValueError(
+                f"{key!r} in {where} must be {expected}, got {type(value).__name__}"
+            )
 
 
 def _default_models() -> list[ModelRequest]:
@@ -113,7 +131,7 @@ class PipelineConfig:
     def from_dict(cls, payload: dict) -> "PipelineConfig":
         payload = dict(payload)
         payload.pop("schema_version", None)
-        _reject_unknown_keys(cls, payload, "the run config")
+        _check_payload(cls, payload, "the run config")
         if ENV_OUTPUT_DIR in os.environ:
             payload["output_dir"] = os.environ[ENV_OUTPUT_DIR]
         if ENV_SEED in os.environ:
@@ -121,23 +139,101 @@ class PipelineConfig:
         return cls(**payload)
 
 
-def _break_index_for(config: PipelineConfig, prices) -> int:
-    if config.break_index is not None:
-        return config.break_index
-    target = dt.date.fromisoformat(config.break_date)
-    for i, stamp in enumerate(prices.timestamps):
-        if stamp == target:
-            return i + 1  # 1-indexed time convention
-    raise ValueError(f"break date {config.break_date} not found in the input dates")
+@contextmanager
+def _stage(name: str):
+    """Re-raise a failure inside the block as a PipelineError naming ``name``."""
+    try:
+        yield
+    except (RegimevolError, ValueError) as exc:
+        raise PipelineError(name, str(exc)) from exc
 
 
-def _fit_request(request: ModelRequest, volatility, seed: int):
+def transform(prices, window: int, centered: bool, returns_path: str, volatility_path: str):
+    """Log returns and realized volatility, each written as a date,value CSV."""
+    returns = log_returns(prices)
+    volatility = realized_volatility(returns, window, centered=centered)
+    for path, series, dates in (
+        (returns_path, returns, prices.timestamps[1:]),
+        (volatility_path, volatility, prices.timestamps[window:]),
+    ):
+        dataio.write_series_csv(
+            path, series.values, index=[d.isoformat() for d in dates], header=("date", "value")
+        )
+    return returns, volatility
+
+
+def unitroot(
+    prices, break_date, break_index, specification: str, significance: float, path=None
+) -> dict:
+    """Perron detrending at the break plus Phillips-Perron on the residuals.
+
+    The break is given by exactly one of ``break_date`` (ISO date, looked up
+    in the price dates) or the 1-indexed ``break_index``.
+    """
+    if (break_date is None) == (break_index is None):
+        raise ValueError("provide exactly one of break_date / break_index")
+    if break_index is None:
+        target = dt.date.fromisoformat(break_date)
+        if target not in prices.timestamps:
+            raise ValueError(f"break date {break_date} not found in the input dates")
+        break_index = prices.timestamps.index(target) + 1  # 1-indexed time convention
+    detrend = perron_detrend(prices, break_index, specification)
+    pp = phillips_perron(detrend.residuals)
+    payload = {
+        "break_index": break_index,
+        "break_date": break_date,
+        "specification": detrend.specification,
+        "detrend_coefficients": list(detrend.coefficients),
+        "detrend_standard_errors": list(detrend.standard_errors),
+        "z_statistic": pp.z_statistic,
+        "p_value": pp.p_value,
+        "bandwidth": pp.bandwidth,
+        "long_run_variance": pp.long_run_variance,
+        "critical_values": {str(k): v for k, v in pp.critical_values.items()},
+        "reject_unit_root_at_significance": pp.p_value < significance,
+    }
+    if path:
+        dataio.write_json(path, payload)
+    return payload
+
+
+def linearity(series, significance: float, path=None, ar_order=None, ar_max_order: int = 20) -> dict:
+    """Teräsvirta zero- and first-order tests of ``series``.
+
+    The zero-order test runs at ``ar_order`` and the first-order test at
+    ``max(1, ar_order)``.  Without an ``ar_order`` the order is the AIC choice
+    among AR(0..ar_max_order), raised to at least 1, and the payload carries
+    the order-selection table.
+    """
+    payload: dict = {"significance": significance}
+    if ar_order is None:
+        table = select_ar_order(series, ar_max_order)
+        ar_order = max(1, table.best_aic)
+        payload["order_selection"] = {
+            "rows": [{"order": o, "aic": a, "bic": b} for o, a, b in table.rows],
+            "best_aic": table.best_aic,
+            "best_bic": table.best_bic,
+        }
+    zero = terasvirta_zero_order(series, ar_order, significance)
+    first = terasvirta_first_order(series, max(1, ar_order), significance)
+    payload.update(
+        ar_order_used=ar_order,
+        zero_order=_linearity_dict(zero),
+        first_order=_linearity_dict(first),
+        verdict=first.verdict,
+    )
+    if path:
+        dataio.write_json(path, payload)
+    return payload
+
+
+def _fit_model(request: ModelRequest, series, seed: int):
     tv = ThresholdVariable(kind=request.threshold, delay=request.delay)
     if request.kind == "ar":
-        return fit_ar(volatility, request.order)
+        return fit_ar(series, request.order)
     if request.kind == "setar":
         return fit_setar(
-            volatility,
+            series,
             request.order,
             n_regimes=request.regimes,
             threshold_variable=tv,
@@ -151,7 +247,7 @@ def _fit_request(request: ModelRequest, volatility, seed: int):
             points=request.gamma_points,
         )
         return fit_lstar(
-            volatility,
+            series,
             request.order,
             n_transitions=request.transitions,
             threshold_variable=tv,
@@ -160,12 +256,31 @@ def _fit_request(request: ModelRequest, volatility, seed: int):
             transition="logistic" if request.kind == "lstar" else "exponential",
         )
     result = train_nnet_ar(
-        volatility,
+        series,
         request.order,
         request.hidden,
         TrainConfig(restarts=request.restarts, seed=seed, standardize=request.standardize),
     )
     return result.model
+
+
+def fit(request: ModelRequest, series, seed: int, model_path=None, fitted_path=None):
+    """Fit one requested model; write its JSON and its fitted CSV where a path is given."""
+    model = _fit_model(request, series, seed)
+    if model_path:
+        dataio.write_json(model_path, dataio.model_to_dict(model))
+    if fitted_path:
+        dataio.emit_plot_data(model, fitted_path, series=series)
+    return model
+
+
+def compare(models, series, json_path: str, text_path: str):
+    """Rank fitted models by AIC, BIC and MAPE; write the report as JSON and text."""
+    report = score_models(models, series)
+    dataio.write_json(json_path, asdict(report))
+    with open(text_path, "w") as handle:
+        handle.write(report.to_text() + "\n")
+    return report
 
 
 def _request_slug(request: ModelRequest, position: int) -> str:
@@ -182,151 +297,59 @@ def _request_slug(request: ModelRequest, position: int) -> str:
 
 def run_pipeline(config: PipelineConfig) -> dict[str, str]:
     """Run the full chain and return a name -> path map of artifacts."""
-    out = config.output_dir
-    os.makedirs(out, exist_ok=True)
+    os.makedirs(config.output_dir, exist_ok=True)
     artifacts: dict[str, str] = {}
 
-    def path(name: str) -> str:
-        return os.path.join(out, name)
+    def path(name: str, filename: str) -> str:
+        artifacts[name] = os.path.join(config.output_dir, filename)
+        return artifacts[name]
 
-    # ingest
-    try:
+    with _stage("ingest"):
         prices = dataio.ingest(config.input_path)
-    except RegimevolError as exc:
-        raise PipelineError("ingest", str(exc)) from exc
-
-    # transform
-    try:
-        returns = log_returns(prices)
-        volatility = realized_volatility(
-            returns, config.volatility_window, centered=config.centered_volatility
+    with _stage("transform"):
+        _, volatility = transform(
+            prices,
+            config.volatility_window,
+            config.centered_volatility,
+            path("returns", "returns.csv"),
+            path("volatility", "volatility.csv"),
         )
-        dataio.write_series_csv(
-            path("returns.csv"),
-            returns.values,
-            index=[d.isoformat() for d in prices.timestamps[1:]],
-            header=("date", "value"),
+    with _stage("unitroot"):
+        unitroot(
+            prices,
+            config.break_date,
+            config.break_index,
+            config.detrend_specification,
+            config.significance,
+            path("unitroot", "unitroot.json"),
         )
-        dataio.write_series_csv(
-            path("volatility.csv"),
-            volatility.values,
-            index=[d.isoformat() for d in prices.timestamps[config.volatility_window:]],
-            header=("date", "value"),
+    with _stage("linearity"):
+        linearity(
+            volatility,
+            config.significance,
+            path("linearity", "linearity.json"),
+            ar_max_order=config.ar_max_order,
         )
-        artifacts["returns"] = path("returns.csv")
-        artifacts["volatility"] = path("volatility.csv")
-    except RegimevolError as exc:
-        raise PipelineError("transform", str(exc)) from exc
-
-    # unit root with structural break
-    try:
-        break_index = _break_index_for(config, prices)
-        detrend = perron_detrend(prices, break_index, config.detrend_specification)
-        pp = phillips_perron(detrend.residuals)
-        dataio.write_json(
-            path("unitroot.json"),
-            {
-                "break_index": break_index,
-                "break_date": config.break_date,
-                "specification": detrend.specification,
-                "detrend_coefficients": list(detrend.coefficients),
-                "detrend_standard_errors": list(detrend.standard_errors),
-                "z_statistic": pp.z_statistic,
-                "p_value": pp.p_value,
-                "bandwidth": pp.bandwidth,
-                "long_run_variance": pp.long_run_variance,
-                "critical_values": {str(k): v for k, v in pp.critical_values.items()},
-                "reject_unit_root_at_significance": pp.p_value < config.significance,
-            },
-        )
-        artifacts["unitroot"] = path("unitroot.json")
-    except (RegimevolError, ValueError) as exc:
-        raise PipelineError("unitroot", str(exc)) from exc
-
-    # linearity tests on the volatility series
-    try:
-        order_table = select_ar_order(volatility, config.ar_max_order)
-        test_order = max(1, order_table.best_aic)
-        zero = terasvirta_zero_order(volatility, test_order, config.significance)
-        first = terasvirta_first_order(volatility, test_order, config.significance)
-        dataio.write_json(
-            path("linearity.json"),
-            {
-                "order_selection": {
-                    "rows": [
-                        {"order": o, "aic": a, "bic": b} for o, a, b in order_table.rows
-                    ],
-                    "best_aic": order_table.best_aic,
-                    "best_bic": order_table.best_bic,
-                },
-                "ar_order_used": test_order,
-                "significance": config.significance,
-                "zero_order": _linearity_dict(zero),
-                "first_order": _linearity_dict(first),
-                "verdict": first.verdict,
-            },
-        )
-        artifacts["linearity"] = path("linearity.json")
-    except RegimevolError as exc:
-        raise PipelineError("linearity", str(exc)) from exc
-
-    # model fits
-    fitted_models = []
-    labels = []
+    models = []
     for position, request in enumerate(config.models, start=1):
         slug = _request_slug(request, position)
-        try:
-            model = _fit_request(request, volatility, config.seed)
-        except RegimevolError as exc:
-            raise PipelineError(f"fit:{slug}", str(exc)) from exc
-        fitted_models.append(model)
-        labels.append(model.label)
-        dataio.write_json(path(f"model_{slug}.json"), dataio.model_to_dict(model))
-        if hasattr(model, "kind"):
-            dataio.emit_plot_data(model, path(f"fitted_{slug}.csv"), series=volatility)
-        else:
-            fitted, residuals = model.one_step(volatility)
-            dataio.write_series_csv(
-                path(f"fitted_{slug}.csv"),
-                fitted,
-                index=range(model.order + 1, len(volatility.values) + 1),
-                header=("index", "fitted"),
+        with _stage(f"fit:{slug}"):
+            models.append(
+                fit(
+                    request,
+                    volatility,
+                    config.seed,
+                    path(f"model_{slug}", f"model_{slug}.json"),
+                    path(f"fitted_{slug}", f"fitted_{slug}.csv"),
+                )
             )
-        artifacts[f"model_{slug}"] = path(f"model_{slug}.json")
-        artifacts[f"fitted_{slug}"] = path(f"fitted_{slug}.csv")
-
-    # comparison
-    try:
-        report = score_models(fitted_models, volatility, labels)
-        dataio.write_json(
-            path("comparison.json"),
-            {
-                "common_sample": report.common_sample,
-                "best_by_aic": report.best_by_aic,
-                "best_by_bic": report.best_by_bic,
-                "best_by_mape": report.best_by_mape,
-                "scores": [
-                    {
-                        "model_id": s.model_id,
-                        "n_obs": s.n_obs,
-                        "n_params": s.n_params,
-                        "rss": s.rss,
-                        "aic": s.aic,
-                        "bic": s.bic,
-                        "mape": s.mape,
-                        "mape_n_excluded": s.mape_n_excluded,
-                    }
-                    for s in report.scores
-                ],
-            },
+    with _stage("compare"):
+        compare(
+            models,
+            volatility,
+            path("comparison", "comparison.json"),
+            path("comparison_text", "comparison.txt"),
         )
-        with open(path("comparison.txt"), "w") as handle:
-            handle.write(report.to_text() + "\n")
-        artifacts["comparison"] = path("comparison.json")
-        artifacts["comparison_text"] = path("comparison.txt")
-    except RegimevolError as exc:
-        raise PipelineError("compare", str(exc)) from exc
-
     return artifacts
 
 
@@ -335,22 +358,8 @@ def _linearity_dict(report) -> dict:
         "variant": report.variant,
         "aux_coefficients": list(report.aux_fit.coefficients),
         "aux_standard_errors": list(report.aux_fit.standard_errors),
-        "overall_f": {
-            "statistic": report.overall_f.statistic,
-            "p_value": report.overall_f.p_value,
-            "df_num": report.overall_f.df_num,
-            "df_den": report.overall_f.df_den,
-        },
-        "nonlinear_terms_f": {
-            "statistic": report.nonlinear_terms_f.statistic,
-            "p_value": report.nonlinear_terms_f.p_value,
-            "df_num": report.nonlinear_terms_f.df_num,
-            "df_den": report.nonlinear_terms_f.df_den,
-        },
-        "cubic_term_t": {
-            "statistic": report.cubic_term_t.statistic,
-            "p_value": report.cubic_term_t.p_value,
-            "df": report.cubic_term_t.df,
-        },
+        "overall_f": asdict(report.overall_f),
+        "nonlinear_terms_f": asdict(report.nonlinear_terms_f),
+        "cubic_term_t": asdict(report.cubic_term_t),
         "verdict": report.verdict,
     }

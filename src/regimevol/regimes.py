@@ -41,16 +41,21 @@ _EIG_RATIO = 1e-12
 _GRID_CHUNK = 8192
 
 
-def logistic_transition(z, gamma: float, c: float):
-    """G(z; gamma, c) = 1 / (1 + exp(-gamma (z - c))), stable for large |arg|."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    arg = gamma * (np.asarray(z, dtype=float) - c)
+def _masked_logistic(arg: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-arg)), with exp taken only of non-positive values."""
     out = np.empty_like(arg)
     pos = arg >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-arg[pos]))
     expa = np.exp(arg[~pos])
     out[~pos] = expa / (1.0 + expa)
+    return out
+
+
+def logistic_transition(z, gamma: float, c: float):
+    """G(z; gamma, c) = 1 / (1 + exp(-gamma (z - c))), stable for large |arg|."""
+    if gamma <= 0:
+        raise ValueError("gamma must be positive")
+    out = _masked_logistic(gamma * (np.asarray(z, dtype=float) - c))
     if out.ndim == 0 or np.isscalar(z):
         return float(out)
     return out
@@ -160,21 +165,107 @@ class RegimeModel:
     def one_step(self, series) -> tuple[np.ndarray, np.ndarray]:
         return one_step_fitted(self, series)
 
+    def step(self, history: Sequence[float], t: float) -> float:
+        """Noise-free next value after ``history`` (oldest first) at time ``t``."""
+        order = self.order
+        lags = np.array(history[-order:][::-1]) if order else np.empty(0)
+        row = np.concatenate([[1.0], lags])
+        tv = self.threshold_variable
+        if tv.kind == TIME:
+            z = t
+        elif tv.delay > max(order, 1):
+            raise ValueError(f"threshold delay {tv.delay} exceeds the model order")
+        else:
+            z = history[-tv.delay]
+        return float(self._predict(row[None, :], np.array([z]))[0])
+
+    def _predict(self, design: np.ndarray, z: np.ndarray) -> np.ndarray:
+        return _predict_rows(
+            self.kind, self.regimes, self.thresholds, self.transitions, design, z
+        )
+
+    def fitted_columns(self, series) -> dict[str, np.ndarray]:
+        """Columns of the fitted CSV: row index, actual, fitted, residual, then
+        the regime (hard-threshold kinds) or one weight per transition."""
+        x = series_values(series)
+        fitted, residuals = one_step_fitted(self, x)
+        z = _threshold_row_values(self.threshold_variable, x, self.order)
+        columns = {
+            "index": np.arange(self.order + 1, len(x) + 1),
+            "actual": x[self.order :],
+            "fitted": fitted,
+            "residual": residuals,
+        }
+        if self.kind in ("ar", "setar"):
+            columns["regime"] = _regime_assignment(self.thresholds, z)
+        for j, spec in enumerate(self.transitions):
+            columns[f"weight{j + 1}"] = spec.weights(z)
+        return columns
+
+    def to_dict(self) -> dict:
+        return {
+            "model": "regime",
+            "kind": self.kind,
+            "order": self.order,
+            "regimes": [list(r) for r in self.regimes],
+            "thresholds": list(self.thresholds),
+            "transitions": [
+                {"kind": t.kind, "gamma": t.gamma, "c": t.c} for t in self.transitions
+            ],
+            "threshold_variable": {
+                "kind": self.threshold_variable.kind,
+                "delay": self.threshold_variable.delay,
+            },
+            "rss": self.rss,
+            "regime_proportions": list(self.regime_proportions),
+            "n_parameters": self.n_parameters,
+            "converged": self.converged,
+            "standard_errors": None
+            if self.standard_errors is None
+            else list(self.standard_errors),
+            "parameter_names": None
+            if self.parameter_names is None
+            else list(self.parameter_names),
+        }
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> "RegimeModel":
+        """Rebuild from :meth:`to_dict` output (fit diagnostics are not restored)."""
+        tv = payload.get("threshold_variable", {"kind": TIME, "delay": 1})
+        return cls(
+            kind=payload["kind"],
+            order=int(payload["order"]),
+            regimes=tuple(np.array(r, dtype=float) for r in payload["regimes"]),
+            thresholds=np.array(payload["thresholds"], dtype=float),
+            transitions=tuple(
+                TransitionSpec(kind=t["kind"], gamma=float(t["gamma"]), c=float(t["c"]))
+                for t in payload["transitions"]
+            ),
+            threshold_variable=ThresholdVariable(kind=tv["kind"], delay=int(tv.get("delay", 1))),
+            rss=float(payload.get("rss", 0.0)),
+            fitted=np.empty(0),
+            residuals=np.empty(0),
+            regime_proportions=np.array(
+                payload.get("regime_proportions", [1.0] * len(payload["regimes"])), dtype=float
+            ),
+            converged=bool(payload.get("converged", True)),
+        )
+
 
 def _regime_assignment(thresholds: np.ndarray, z: np.ndarray) -> np.ndarray:
     # value exactly at a threshold goes to the upper regime
     return np.searchsorted(thresholds, z, side="right")
 
 
-def _predict_rows(model: RegimeModel, design: np.ndarray, z: np.ndarray) -> np.ndarray:
-    if model.kind == "ar":
-        return design @ model.regimes[0]
-    if model.kind == "setar":
-        coefs = np.vstack(model.regimes)
-        idx = _regime_assignment(model.thresholds, z)
+def _predict_rows(kind, regimes, thresholds, transitions, design, z) -> np.ndarray:
+    if kind == "ar":
+        return design @ regimes[0]
+    if kind == "setar":
+        coefs = np.vstack(regimes)
+        idx = _regime_assignment(thresholds, z)
         return np.einsum("ij,ij->i", design, coefs[idx])
-    fitted = design @ model.regimes[0]
-    for block, spec in zip(model.regimes[1:], model.transitions):
+    fitted = design @ regimes[0]
+    for block, spec in zip(regimes[1:], transitions):
         fitted = fitted + spec.weights(z) * (design @ block)
     return fitted
 
@@ -186,7 +277,7 @@ def one_step_fitted(model: RegimeModel, series) -> tuple[np.ndarray, np.ndarray]
         raise SeriesTooShort(f"need more than {model.order} observations")
     design, y = lag_design(x, model.order)
     z = _threshold_row_values(model.threshold_variable, x, model.order)
-    fitted = _predict_rows(model, design, z)
+    fitted = model._predict(design, z)
     return fitted, y - fitted
 
 
@@ -203,7 +294,9 @@ def _finish_model(
     converged: bool = True,
 ) -> RegimeModel:
     """Assemble the record, computing fitted/residuals through the shared path."""
+    regimes = tuple(np.asarray(r, dtype=float) for r in regimes)
     thresholds = np.asarray(thresholds, dtype=float)
+    transitions = tuple(transitions)
     z = _threshold_row_values(tv, series_vals, order)
     if len(thresholds):
         counts = np.bincount(
@@ -212,28 +305,15 @@ def _finish_model(
         proportions = counts / counts.sum()
     else:
         proportions = np.array([1.0])
-    probe = RegimeModel(
-        kind=kind,
-        order=order,
-        regimes=tuple(regimes),
-        thresholds=thresholds,
-        transitions=tuple(transitions),
-        threshold_variable=tv,
-        rss=0.0,
-        fitted=np.empty(0),
-        residuals=np.empty(0),
-        regime_proportions=proportions,
-        standard_errors=standard_errors,
-        parameter_names=parameter_names,
-        converged=converged,
-    )
-    fitted, residuals = one_step_fitted(probe, series_vals)
+    design, y = lag_design(series_vals, order)
+    fitted = _predict_rows(kind, regimes, thresholds, transitions, design, z)
+    residuals = y - fitted
     return RegimeModel(
         kind=kind,
         order=order,
-        regimes=tuple(regimes),
+        regimes=regimes,
         thresholds=thresholds,
-        transitions=tuple(transitions),
+        transitions=transitions,
         threshold_variable=tv,
         rss=float(residuals @ residuals),
         fitted=fitted,
@@ -455,7 +535,10 @@ class GammaGrid:
 
 def _transition_weights(kind: str, z, gamma, c):
     # branchless logistic: exp overflow saturates to inf and the ratio to 0,
-    # which is the correct limit, so only the warning needs silencing
+    # which is the correct limit, so only the warning needs silencing.  It is
+    # kept apart from _masked_logistic on purpose: for negative arguments the
+    # two differ in the last bit on a third to a half of the values, so
+    # merging them would move the grid and Gauss-Newton RSS bits.
     if kind == LOGISTIC:
         with np.errstate(over="ignore"):
             return 1.0 / (1.0 + np.exp(-gamma * (z - c)))
@@ -719,38 +802,29 @@ def fit_lstar(
 
 
 def simulate(
-    model: RegimeModel,
+    model,
     length: int,
     noise_sd: float,
     seed: int | None = 0,
     burn_in: int = 100,
 ) -> np.ndarray:
-    """Iterate the model equations with seeded Gaussian innovations.
+    """Iterate ``model.step`` with seeded Gaussian innovations.
 
-    The first ``burn_in`` draws are discarded; for time-threshold models the
-    time variable is 1..length over the returned stretch (burn-in steps sit
-    at t <= 0).  Raises ExplosivePath when |X_t| exceeds 1e8.
+    Any model with ``order`` and ``step(history, t)`` works: the regime
+    models and the neural AR.  The first ``burn_in`` draws are discarded;
+    for time-threshold models the time variable is 1..length over the
+    returned stretch (burn-in steps sit at t <= 0).  Raises ExplosivePath
+    when |X_t| exceeds 1e8.
     """
     if length < 1:
         raise ValueError("length must be positive")
     if noise_sd < 0:
         raise ValueError("noise_sd must be non-negative")
     rng = np.random.default_rng(seed)
-    order = model.order
-    tv = model.threshold_variable
-    if tv.kind == LAGGED_VALUE and tv.delay > max(order, 1):
-        raise ValueError(f"threshold delay {tv.delay} exceeds the model order")
-    history = [0.0] * max(order, 1)
+    history = [0.0] * max(model.order, 1)
     path = np.empty(burn_in + length)
     for i in range(burn_in + length):
-        t_value = float(i - burn_in + 1)
-        lags = np.array(history[-order:][::-1]) if order else np.empty(0)
-        row = np.concatenate([[1.0], lags])
-        if model.threshold_variable.kind == TIME:
-            z = t_value
-        else:
-            z = history[-model.threshold_variable.delay]
-        value = float(_predict_rows(model, row[None, :], np.array([z]))[0])
+        value = model.step(history, float(i - burn_in + 1))
         if noise_sd > 0:
             value += rng.normal(0.0, noise_sd)
         if abs(value) > _EXPLOSION_LIMIT:

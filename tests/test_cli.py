@@ -94,6 +94,19 @@ class TestRunPipeline:
             bytes_b = open(b[key], "rb").read()
             assert bytes_a == bytes_b, f"artifact {key} differs between runs"
 
+    def test_fitted_csv_cells_are_plain_numbers(self, price_csv, break_date, tmp_path):
+        artifacts = run_pipeline(small_config(price_csv, break_date, tmp_path / "out"))
+        fitted = sorted(k for k in artifacts if k.startswith("fitted_"))
+        assert any("setar" in k for k in fitted) and any("nnet" in k for k in fitted)
+        for key in fitted:
+            header, *rows = open(artifacts[key]).read().splitlines()
+            assert header.startswith("index,")
+            for row in rows:
+                cells = row.split(",")
+                int(cells[0])
+                for cell in cells[1:]:
+                    float(cell)
+
     def test_missing_break_date_fails_with_stage(self, price_csv, tmp_path):
         config = PipelineConfig(
             input_path=price_csv,
@@ -158,6 +171,63 @@ class TestCliCommands:
         lines = sim_path.read_text().strip().splitlines()
         assert len(lines) - 1 == 40
 
+    def test_fit_and_simulate_neural_model(self, price_csv, tmp_path, capsys):
+        series_dir = tmp_path / "series"
+        main(["transform", price_csv, "--window", "30", "--output-dir", str(series_dir)])
+        fit_dir = tmp_path / "fit"
+        assert main([
+            "fit", "nnet", str(series_dir / "volatility.csv"),
+            "--restarts", "2", "--output-dir", str(fit_dir),
+        ]) == 0
+        sim_path = tmp_path / "sim.csv"
+        assert main([
+            "simulate", str(fit_dir / "model.json"),
+            "--length", "25", "--noise-sd", "0.01", "--seed", "2",
+            "--output", str(sim_path),
+        ]) == 0
+        lines = sim_path.read_text().strip().splitlines()
+        assert len(lines) - 1 == 25
+
+    def test_cli_stages_write_the_run_artifacts(self, price_csv, break_date, tmp_path, capsys):
+        models = ["setar:order=1,regimes=3", "nnet:order=1,hidden=2,restarts=2"]
+        config = PipelineConfig(
+            input_path=price_csv,
+            break_date=break_date,
+            volatility_window=30,
+            ar_max_order=5,
+            models=[
+                {"kind": "setar", "order": 1, "regimes": 3},
+                {"kind": "nnet", "order": 1, "hidden": 2, "restarts": 2},
+            ],
+            seed=3,
+            output_dir=str(tmp_path / "run"),
+        )
+        artifacts = run_pipeline(config)
+        cli = tmp_path / "cli"
+        vol = str(cli / "volatility.csv")
+        assert main(["transform", price_csv, "--window", "30", "--output-dir", str(cli)]) == 0
+        assert main(["test-unitroot", price_csv, "--break-date", break_date,
+                     "--output", str(cli / "unitroot.json")]) == 0
+        assert main(["fit", "setar", vol, "--regimes", "3",
+                     "--output-dir", str(cli / "setar")]) == 0
+        assert main(["fit", "nnet", vol, "--restarts", "2", "--seed", "3",
+                     "--output-dir", str(cli / "nnet")]) == 0
+        assert main(["compare", vol, "--model", models[0], "--model", models[1],
+                     "--seed", "3", "--output-dir", str(cli)]) == 0
+        pairs = {
+            "returns": cli / "returns.csv",
+            "volatility": cli / "volatility.csv",
+            "unitroot": cli / "unitroot.json",
+            "model_01_setar3_p1": cli / "setar" / "model.json",
+            "fitted_01_setar3_p1": cli / "setar" / "fitted.csv",
+            "model_02_nnet1_2": cli / "nnet" / "model.json",
+            "fitted_02_nnet1_2": cli / "nnet" / "fitted.csv",
+            "comparison": cli / "comparison.json",
+            "comparison_text": cli / "comparison.txt",
+        }
+        for key, path in pairs.items():
+            assert path.read_bytes() == open(artifacts[key], "rb").read(), key
+
     def test_compare_command(self, price_csv, tmp_path, capsys):
         series_dir = tmp_path / "series"
         main(["transform", price_csv, "--window", "30", "--output-dir", str(series_dir)])
@@ -218,6 +288,18 @@ class TestCliCommands:
                 ["run", "--config", "{tmp}/string-model.json"],
                 "config", "JSON object", id="model-entry-not-an-object",
             ),
+            pytest.param(
+                ["run", "--config", "{tmp}/string-window.json"],
+                "config", "'volatility_window'", id="config-window-not-an-int",
+            ),
+            pytest.param(
+                ["run", "--config", "{tmp}/int-models.json"],
+                "config", "'models'", id="config-models-not-a-list",
+            ),
+            pytest.param(
+                ["run", "--config", "{tmp}/string-order.json"],
+                "config", "'order'", id="model-entry-order-not-an-int",
+            ),
             pytest.param(["fit", "ar", "{tmp}/nan.csv"], "fit", "line 4", id="fit-ar-nan"),
             pytest.param(["fit", "setar", "{tmp}/nan.csv"], "fit", "line 4", id="fit-setar-nan"),
             pytest.param(["fit", "lstar", "{tmp}/inf.csv"], "fit", "line 4", id="fit-lstar-inf"),
@@ -240,6 +322,13 @@ class TestCliCommands:
         )
         (tmp_path / "list.json").write_text(json.dumps([config]))
         (tmp_path / "string-model.json").write_text(json.dumps({**config, "models": ["ar"]}))
+        (tmp_path / "string-window.json").write_text(
+            json.dumps({**config, "volatility_window": "60"})
+        )
+        (tmp_path / "int-models.json").write_text(json.dumps({**config, "models": 5}))
+        (tmp_path / "string-order.json").write_text(
+            json.dumps({**config, "models": [{"kind": "ar", "order": "1"}]})
+        )
         values = [f"{i},{0.01 + 0.001 * (i % 7)}" for i in range(1, 61)]
         for cell in ("nan", "inf"):
             rows = ["index,value"] + values
