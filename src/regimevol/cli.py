@@ -43,7 +43,7 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_transform(args) -> int:
     prices = dataio.ingest(args.input)
-    os.makedirs(args.output_dir, exist_ok=True)
+    dataio.make_output_dir(args.output_dir)
     returns_path = os.path.join(args.output_dir, "returns.csv")
     vol_path = os.path.join(args.output_dir, "volatility.csv")
     returns, volatility = pipeline.transform(
@@ -92,7 +92,7 @@ def _model_request_from_args(args) -> pipeline.ModelRequest:
 
 def _cmd_fit(args) -> int:
     values = dataio.read_series_csv(args.input)
-    os.makedirs(args.output_dir, exist_ok=True)
+    dataio.make_output_dir(args.output_dir)
     model_path = os.path.join(args.output_dir, "model.json")
     fitted_path = os.path.join(args.output_dir, "fitted.csv")
     pipeline.fit(_model_request_from_args(args), values, args.seed, model_path, fitted_path)
@@ -131,7 +131,7 @@ def _cmd_compare(args) -> int:
     if len(requests) < 2:
         raise RegimevolError("compare needs at least two --model specs")
     models = [pipeline.fit(r, values, args.seed) for r in requests]
-    os.makedirs(args.output_dir, exist_ok=True)
+    dataio.make_output_dir(args.output_dir)
     report = pipeline.compare(
         models,
         values,

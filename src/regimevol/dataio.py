@@ -9,6 +9,8 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import json
+import os
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -99,27 +101,44 @@ def write_series_csv(path, values, index=None, header=("index", "value")) -> Non
     _write_csv(path, header, zip(index, values.tolist()))
 
 
+def make_output_dir(path) -> None:
+    """Create ``path`` and its parents unless it exists; IoError if that fails."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise IoError(f"cannot create output directory {path}: {exc}") from exc
+
+
+@contextmanager
+def _writing(path, newline=None):
+    """Open ``path`` for writing; any OSError opening or writing it is an IoError."""
+    try:
+        with open(path, "w", newline=newline) as handle:
+            yield handle
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
+
+
 def _write_csv(path, header, rows) -> None:
     # cells are Python ints, floats and strings, and str(float) is its
     # shortest round-trip repr
-    try:
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(header)
-            writer.writerows(rows)
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    with _writing(path, newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_text(path, text: str) -> None:
+    with _writing(path) as handle:
+        handle.write(text)
 
 
 def write_json(path, payload: dict) -> None:
     payload = dict(payload)
     payload.setdefault("schema_version", SCHEMA_VERSION)
-    try:
-        with open(path, "w") as handle:
-            json.dump(_plain(payload), handle, sort_keys=True, indent=2)
-            handle.write("\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    with _writing(path) as handle:
+        json.dump(_plain(payload), handle, sort_keys=True, indent=2)
+        handle.write("\n")
 
 
 def _plain(obj):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteLoss, SeriesTooShort
 from .regimes import _masked_logistic
-from .series import series_values
+from .series import lag_design, series_values
 
 _ARMIJO = 1e-4
 _MIN_STEP = 1e-18
@@ -46,16 +46,12 @@ class NnetArModel:
             raise DimensionMismatch(f"hidden weights must be {m}x{d}")
         if self.skip_weights is not None and self.skip_weights.shape != (m,):
             raise DimensionMismatch("skip weights must have length m")
-        for part in (self.output_bias, self.output_weights, self.hidden_biases, self.hidden_weights):
-            if not np.all(np.isfinite(part)):
-                raise ValueError("all weights must be finite")
-        if self.skip_weights is not None and not np.all(np.isfinite(self.skip_weights)):
+        if not np.all(np.isfinite(self.to_vector())):
             raise ValueError("all weights must be finite")
 
     @property
     def n_weights(self) -> int:
-        m, d = self.n_inputs, self.n_hidden
-        return (m + 1) * d + (d + 1) + (m if self.skip_weights is not None else 0)
+        return _n_weights(self.n_inputs, self.n_hidden, self.skip_weights is not None)
 
     # model-comparison interface
     @property
@@ -71,45 +67,25 @@ class NnetArModel:
         return f"nnet({self.n_inputs}-{self.n_hidden}-1)"
 
     def to_vector(self) -> np.ndarray:
-        parts = [
-            [self.output_bias],
-            self.output_weights,
-            self.hidden_biases,
-            self.hidden_weights.ravel(),
-        ]
-        if self.skip_weights is not None:
-            parts.append(self.skip_weights)
-        return np.concatenate(parts)
+        parts = (self.output_bias, self.output_weights, self.hidden_biases,
+                 self.hidden_weights, self.skip_weights)
+        return _pack(parts, self.n_inputs, self.n_hidden, self.skip_weights is not None)
 
     @classmethod
     def from_vector(cls, n_inputs: int, n_hidden: int, vector, skip: bool = False) -> "NnetArModel":
         vector = np.asarray(vector, dtype=float)
-        m, d = n_inputs, n_hidden
-        expected = (m + 1) * d + (d + 1) + (m if skip else 0)
+        expected = _n_weights(n_inputs, n_hidden, skip)
         if vector.shape != (expected,):
             raise DimensionMismatch(f"expected {expected} weights, got {vector.shape}")
-        pos = 0
-        output_bias = float(vector[pos]); pos += 1
-        output_weights = vector[pos : pos + d]; pos += d
-        hidden_biases = vector[pos : pos + d]; pos += d
-        hidden_weights = vector[pos : pos + m * d].reshape(m, d); pos += m * d
-        skip_weights = vector[pos : pos + m] if skip else None
-        return cls(
-            n_inputs=m,
-            n_hidden=d,
-            output_bias=output_bias,
-            output_weights=output_weights,
-            hidden_biases=hidden_biases,
-            hidden_weights=hidden_weights,
-            skip_weights=skip_weights,
-        )
+        bias, *weights = _unpack(vector, n_inputs, n_hidden, skip)
+        return cls(n_inputs, n_hidden, float(bias), *weights)
 
     def one_step(self, series) -> tuple[np.ndarray, np.ndarray]:
         """In-sample one-step-ahead predictions, mirroring the regime models."""
         x = series_values(series)
         if len(x) <= self.n_inputs:
             raise SeriesTooShort(f"need more than {self.n_inputs} observations")
-        lag_matrix, targets = lag_matrix_for(x, self.n_inputs)
+        lag_matrix, targets = _lag_inputs(x, self.n_inputs)
         fitted = predict(self, lag_matrix)
         return fitted, targets - fitted
 
@@ -150,28 +126,71 @@ class NnetArModel:
         )
 
 
-def lag_matrix_for(values, m: int) -> tuple[np.ndarray, np.ndarray]:
+def _n_weights(m: int, d: int, skip: bool) -> int:
+    return (m + 1) * d + (d + 1) + (m if skip else 0)
+
+
+def _unpack(theta: np.ndarray, m: int, d: int, skip: bool):
+    """Views of the output bias (0-d), output weights, hidden biases, hidden
+    weights (m, D) and skip weights (None without skip) in ``theta``."""
+    hidden_end = 1 + 2 * d + m * d
+    return (
+        theta[:1].reshape(()),
+        theta[1 : 1 + d],
+        theta[1 + d : 1 + 2 * d],
+        theta[1 + 2 * d : hidden_end].reshape(m, d),
+        theta[hidden_end:] if skip else None,
+    )
+
+
+def _pack(parts, m: int, d: int, skip: bool) -> np.ndarray:
+    """The flat weight vector holding ``parts``, ordered as :func:`_unpack` reads them."""
+    theta = np.empty(_n_weights(m, d, skip))
+    for view, part in zip(_unpack(theta, m, d, skip), parts):
+        if view is not None:
+            view[...] = part
+    return theta
+
+
+def _lag_inputs(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Rows of (X_{t-1}, ..., X_{t-m}) and the targets X_t."""
-    x = series_values(values)
-    n = len(x)
-    if n <= m:
-        raise SeriesTooShort(f"need more than {m} observations, got {n}")
-    cols = [x[m - k : n - k] for k in range(1, m + 1)]
-    return np.column_stack(cols), x[m:]
+    design, targets = lag_design(x, m)
+    # a contiguous copy: the strided column view moves the matmul result bits
+    return np.ascontiguousarray(design[:, 1:]), targets
+
+
+def _forward(theta, m, d, skip, lag_matrix) -> tuple[np.ndarray, np.ndarray]:
+    """Hidden activations and network output for each row of lagged inputs."""
+    bias, output_weights, hidden_biases, hidden_weights, skip_weights = _unpack(theta, m, d, skip)
+    activations = _masked_logistic(hidden_biases + lag_matrix @ hidden_weights)
+    out = bias + activations @ output_weights
+    if skip:
+        out = out + lag_matrix @ skip_weights
+    return activations, out
+
+
+def _gradient(theta, m, d, skip, lag_matrix, targets) -> np.ndarray:
+    activations, out = _forward(theta, m, d, skip, lag_matrix)
+    resid = targets - out
+    output_weights = _unpack(theta, m, d, skip)[1]
+    back = -(resid[:, None] * output_weights[None, :]) * activations * (1.0 - activations)
+    skip_part = -(resid @ lag_matrix) if skip else None
+    parts = (-resid.sum(), -(resid @ activations), back.sum(axis=0), lag_matrix.T @ back, skip_part)
+    return _pack(parts, m, d, skip)
+
+
+def _checked_lags(model: NnetArModel, lag_matrix) -> np.ndarray:
+    lag_matrix = np.atleast_2d(np.asarray(lag_matrix, dtype=float))
+    if lag_matrix.shape[1] != model.n_inputs:
+        raise DimensionMismatch(f"expected {model.n_inputs} lag columns, got {lag_matrix.shape[1]}")
+    return lag_matrix
 
 
 def predict(model: NnetArModel, lag_matrix: np.ndarray) -> np.ndarray:
     """Network output for each row of lagged inputs."""
-    lag_matrix = np.atleast_2d(np.asarray(lag_matrix, dtype=float))
-    if lag_matrix.shape[1] != model.n_inputs:
-        raise DimensionMismatch(
-            f"expected {model.n_inputs} lag columns, got {lag_matrix.shape[1]}"
-        )
-    activations = _masked_logistic(model.hidden_biases + lag_matrix @ model.hidden_weights)
-    out = model.output_bias + activations @ model.output_weights
-    if model.skip_weights is not None:
-        out = out + lag_matrix @ model.skip_weights
-    return out
+    skip = model.skip_weights is not None
+    lag_matrix = _checked_lags(model, lag_matrix)
+    return _forward(model.to_vector(), model.n_inputs, model.n_hidden, skip, lag_matrix)[1]
 
 
 def forward(model: NnetArModel, lags) -> float:
@@ -182,57 +201,14 @@ def forward(model: NnetArModel, lags) -> float:
     return float(predict(model, lags[None, :])[0])
 
 
-@dataclass(frozen=True)
-class NnetGradient:
-    """Gradient of half-RSS, shaped like the model weights."""
-
-    output_bias: float
-    output_weights: np.ndarray
-    hidden_biases: np.ndarray
-    hidden_weights: np.ndarray
-    skip_weights: np.ndarray | None = None
-
-    def to_vector(self) -> np.ndarray:
-        parts = [
-            [self.output_bias],
-            self.output_weights,
-            self.hidden_biases,
-            self.hidden_weights.ravel(),
-        ]
-        if self.skip_weights is not None:
-            parts.append(self.skip_weights)
-        return np.concatenate(parts)
-
-
-def gradient(model: NnetArModel, lag_matrix: np.ndarray, targets: np.ndarray) -> NnetGradient:
-    """Exact gradient of (1/2) sum (target - forward)^2 in every weight."""
-    lag_matrix = np.atleast_2d(np.asarray(lag_matrix, dtype=float))
+def gradient(model: NnetArModel, lag_matrix: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Exact gradient of (1/2) sum (target - forward)^2, flat in ``to_vector`` order."""
+    lag_matrix = _checked_lags(model, lag_matrix)
     targets = np.asarray(targets, dtype=float)
     if lag_matrix.shape[0] != targets.shape[0]:
         raise DimensionMismatch("lag matrix and targets disagree on row count")
-    if lag_matrix.shape[1] != model.n_inputs:
-        raise DimensionMismatch(
-            f"expected {model.n_inputs} lag columns, got {lag_matrix.shape[1]}"
-        )
-    activations = _masked_logistic(model.hidden_biases + lag_matrix @ model.hidden_weights)
-    out = model.output_bias + activations @ model.output_weights
-    if model.skip_weights is not None:
-        out = out + lag_matrix @ model.skip_weights
-    resid = targets - out
-
-    d_bias = -float(resid.sum())
-    d_output = -(resid @ activations)
-    back = -(resid[:, None] * model.output_weights[None, :]) * activations * (1.0 - activations)
-    d_hidden_biases = back.sum(axis=0)
-    d_hidden_weights = lag_matrix.T @ back
-    d_skip = -(resid @ lag_matrix) if model.skip_weights is not None else None
-    return NnetGradient(
-        output_bias=d_bias,
-        output_weights=d_output,
-        hidden_biases=d_hidden_biases,
-        hidden_weights=d_hidden_weights,
-        skip_weights=d_skip,
-    )
+    skip = model.skip_weights is not None
+    return _gradient(model.to_vector(), model.n_inputs, model.n_hidden, skip, lag_matrix, targets)
 
 
 @dataclass(frozen=True)
@@ -258,8 +234,7 @@ class NnetFitResult:
 
 
 def _half_rss(theta, m, d, skip, lag_matrix, targets):
-    model = NnetArModel.from_vector(m, d, theta, skip)
-    resid = targets - predict(model, lag_matrix)
+    resid = targets - _forward(theta, m, d, skip, lag_matrix)[1]
     return 0.5 * float(resid @ resid)
 
 
@@ -276,8 +251,7 @@ def _descend(theta, m, d, skip, lag_matrix, targets, max_iters, tol, trace=None)
     step = 1.0
     iterations = 0
     for iterations in range(1, max_iters + 1):
-        model = NnetArModel.from_vector(m, d, theta, skip)
-        grad = gradient(model, lag_matrix, targets).to_vector()
+        grad = _gradient(theta, m, d, skip, lag_matrix, targets)
         gnorm2 = float(grad @ grad)
         if gnorm2 == 0.0:
             return theta, loss, iterations, True
@@ -325,10 +299,10 @@ def train_nnet_ar(series, m: int, d: int, config: TrainConfig | None = None) -> 
     else:
         center, scale = 0.0, 1.0
         x_train = x
-    lag_matrix, targets = lag_matrix_for(x_train, m)
-    n_weights = (m + 1) * d + (d + 1) + (m if cfg.skip else 0)
-    if len(targets) <= n_weights:
-        raise SeriesTooShort(f"{len(targets)} rows cannot support {n_weights} weights")
+    n_weights = _n_weights(m, d, cfg.skip)
+    if len(x) - m <= n_weights:
+        raise SeriesTooShort(f"{max(len(x) - m, 0)} rows cannot support {n_weights} weights")
+    lag_matrix, targets = _lag_inputs(x_train, m)
 
     best = None
     for restart in range(cfg.restarts):
@@ -347,9 +321,9 @@ def train_nnet_ar(series, m: int, d: int, config: TrainConfig | None = None) -> 
         raise NonFiniteLoss("every restart diverged")
 
     rss, restart, theta, iterations, converged = best
-    model = NnetArModel.from_vector(m, d, theta, cfg.skip)
     if cfg.standardize:
-        model = _destandardize(model, center, scale)
+        theta = _destandardize(theta, m, d, cfg.skip, center, scale)
+    model = NnetArModel.from_vector(m, d, theta, cfg.skip)
     fitted, residuals = model.one_step(x)
     return NnetFitResult(
         model=model,
@@ -362,21 +336,12 @@ def train_nnet_ar(series, m: int, d: int, config: TrainConfig | None = None) -> 
     )
 
 
-def _destandardize(model: NnetArModel, center: float, scale: float) -> NnetArModel:
+def _destandardize(theta, m, d, skip, center: float, scale: float) -> np.ndarray:
     """Rewrite weights trained on (x - center)/scale to act on raw inputs."""
-    hidden_weights = model.hidden_weights / scale
-    hidden_biases = model.hidden_biases - (center / scale) * model.hidden_weights.sum(axis=0)
-    output_weights = model.output_weights * scale
-    output_bias = model.output_bias * scale + center
-    skip = model.skip_weights
-    if skip is not None:
-        output_bias -= center * float(skip.sum())
-    return NnetArModel(
-        n_inputs=model.n_inputs,
-        n_hidden=model.n_hidden,
-        output_bias=float(output_bias),
-        output_weights=output_weights,
-        hidden_biases=hidden_biases,
-        hidden_weights=hidden_weights,
-        skip_weights=skip,
-    )
+    bias, output_weights, hidden_biases, hidden_weights, skip_weights = _unpack(theta, m, d, skip)
+    bias = bias * scale + center
+    if skip:
+        bias -= center * float(skip_weights.sum())
+    hidden_biases = hidden_biases - (center / scale) * hidden_weights.sum(axis=0)
+    parts = (bias, output_weights * scale, hidden_biases, hidden_weights / scale, skip_weights)
+    return _pack(parts, m, d, skip)

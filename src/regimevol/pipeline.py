@@ -278,8 +278,7 @@ def compare(models, series, json_path: str, text_path: str):
     """Rank fitted models by AIC, BIC and MAPE; write the report as JSON and text."""
     report = score_models(models, series)
     dataio.write_json(json_path, asdict(report))
-    with open(text_path, "w") as handle:
-        handle.write(report.to_text() + "\n")
+    dataio.write_text(text_path, report.to_text() + "\n")
     return report
 
 
@@ -297,7 +296,7 @@ def _request_slug(request: ModelRequest, position: int) -> str:
 
 def run_pipeline(config: PipelineConfig) -> dict[str, str]:
     """Run the full chain and return a name -> path map of artifacts."""
-    os.makedirs(config.output_dir, exist_ok=True)
+    dataio.make_output_dir(config.output_dir)
     artifacts: dict[str, str] = {}
 
     def path(name: str, filename: str) -> str:

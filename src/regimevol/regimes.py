@@ -388,22 +388,31 @@ def _prefix_stats(design: np.ndarray, y: np.ndarray):
     return sxx, sxy, syy
 
 
+def _screened_rss(gram: np.ndarray, rhs: np.ndarray, yy, feasible=True) -> np.ndarray:
+    """RSS of each stacked normal-equation system ``gram @ beta = rhs``.
+
+    A candidate is scored when ``feasible`` allows it and its Gram matrix
+    passes the rank screen (eigenvalue ratio above ``_EIG_RATIO``); every
+    other entry is inf.  ``yy`` is y'y, per candidate or shared.
+    """
+    eigs = np.linalg.eigvalsh(gram)
+    feasible = feasible & (eigs[:, 0] > eigs[:, -1] * _EIG_RATIO) & (eigs[:, -1] > 0)
+    rss = np.full(len(gram), np.inf)
+    if np.any(feasible):
+        beta = np.linalg.solve(gram[feasible], rhs[feasible][..., None])[..., 0]
+        yy = np.broadcast_to(yy, rss.shape)[feasible]
+        vals = yy - np.einsum("mk,mk->m", rhs[feasible], beta)
+        rss[feasible] = np.where(np.isfinite(vals), np.maximum(vals, 0.0), np.inf)
+    return rss
+
+
 def _segment_rss(sxx, sxy, syy, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
     """RSS of an OLS fit on each half-open sorted-row segment; inf if infeasible."""
-    xx = sxx[stops] - sxx[starts]
-    xy = sxy[stops] - sxy[starts]
-    yy = syy[stops] - syy[starts]
-    k = xx.shape[-1]
-    counts = stops - starts
-    eigs = np.linalg.eigvalsh(xx)
-    feasible = (counts > k) & (eigs[:, 0] > eigs[:, -1] * _EIG_RATIO) & (eigs[:, -1] > 0)
-    rss = np.full(len(starts), np.inf)
-    if np.any(feasible):
-        beta = np.linalg.solve(xx[feasible], xy[feasible][..., None])[..., 0]
-        vals = yy[feasible] - np.einsum("mk,mk->m", xy[feasible], beta)
-        vals = np.where(np.isfinite(vals), np.maximum(vals, 0.0), np.inf)
-        rss[feasible] = vals
-    return rss
+    k = sxx.shape[-1]
+    return _screened_rss(
+        sxx[stops] - sxx[starts], sxy[stops] - sxy[starts], syy[stops] - syy[starts],
+        (stops - starts) > k,
+    )
 
 
 def _split_positions(z_sorted: np.ndarray, min_count: int) -> np.ndarray:
@@ -467,12 +476,15 @@ def fit_setar(
     else:
         low = _segment_rss(sxx, sxy, syy, np.zeros(len(positions), dtype=int), positions)
         high = _segment_rss(sxx, sxy, syy, positions, np.full(len(positions), rows, dtype=int))
-        pa, pb = np.meshgrid(positions, positions, indexing="ij")
-        ia, ib = np.meshgrid(np.arange(len(positions)), np.arange(len(positions)), indexing="ij")
-        mask = (pb - pa) >= min_count
-        starts, stops = pa[mask], pb[mask]
+        # pairs a < b with positions[b] - positions[a] >= min_count, a-major:
+        # each a pairs with b = later[a], ..., P - 1
+        later = np.searchsorted(positions, positions + min_count, side="left")
+        counts = len(positions) - later
+        ia = np.repeat(np.arange(len(positions)), counts)
+        ib = np.arange(len(ia)) + np.repeat(later - (np.cumsum(counts) - counts), counts)
+        starts, stops = positions[ia], positions[ib]
         mid = _segment_rss(sxx, sxy, syy, starts, stops)
-        total = low[ia[mask]] + mid + high[ib[mask]]
+        total = low[ia] + mid + high[ib]
         if not np.any(np.isfinite(total)):
             raise NoFeasibleThreshold("every candidate split pair is rank deficient")
         best = int(np.argmin(total))
@@ -617,20 +629,12 @@ def _profiled_grid(base, block, y, z, gammas, c_values, kind, time_threshold):
         # at most two (chunk, rows) arrays instead of three
         del weights, squares
 
-        eigs = np.linalg.eigvalsh(gram)
-        feasible = (eigs[:, 0] > eigs[:, -1] * _EIG_RATIO) & (eigs[:, -1] > 0)
-        if not np.any(feasible):
-            continue
-        beta = np.linalg.solve(gram[feasible], rhs[feasible][..., None])[..., 0]
-        rss = yy - np.einsum("mk,mk->m", rhs[feasible], beta)
-        rss = np.where(np.isfinite(rss), np.maximum(rss, 0.0), np.inf)
-
-        local = np.flatnonzero(feasible)
+        rss = _screened_rss(gram, rhs, yy)
         pick = int(np.argmin(rss))
         if rss[pick] < best_rss:
             best_rss = float(rss[pick])
-            best_gamma = float(order_gamma[start + local[pick]])
-            best_c = float(order_c[start + local[pick]])
+            best_gamma = float(order_gamma[start + pick])
+            best_c = float(order_c[start + pick])
 
     if best_gamma is None:
         raise NoFeasibleThreshold("every (gamma, c) candidate is rank deficient")

@@ -23,10 +23,17 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
 
 
 def series_values(series) -> np.ndarray:
-    """Return the observation vector of a series container or array-like."""
-    if hasattr(series, "values"):
-        return np.asarray(series.values, dtype=float)
-    return np.asarray(series, dtype=float)
+    """Return the observation vector of a series container or array-like.
+
+    Raises ValueError naming the index of the first value that is NaN or
+    infinite.
+    """
+    values = np.asarray(series.values if hasattr(series, "values") else series, dtype=float)
+    finite = np.isfinite(values)
+    if not finite.all():
+        first = int(np.argmin(finite.ravel()))
+        raise ValueError(f"non-finite value {values.flat[first]} at index {first}")
+    return values
 
 
 @dataclass(frozen=True)

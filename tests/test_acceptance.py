@@ -33,7 +33,7 @@ from regimevol import (
     terasvirta_zero_order,
     train_nnet_ar,
 )
-from regimevol.neural import NnetArModel, lag_matrix_for, predict
+from regimevol.neural import NnetArModel, predict
 from regimevol.regimes import LAGGED_VALUE, TIME, ThresholdVariable
 from regimevol.series import lag_design
 from tests.conftest import make_regime_model
@@ -178,7 +178,7 @@ def test_criterion_06_gradient_check():
         model = NnetArModel.from_vector(m, d, rng.uniform(-0.8, 0.8, n_weights), skip)
         lags = rng.normal(size=(30, m))
         targets = rng.normal(size=30)
-        analytic = gradient(model, lags, targets).to_vector()
+        analytic = gradient(model, lags, targets)
 
         def loss(vec):
             mod = NnetArModel.from_vector(m, d, vec, skip)

@@ -303,6 +303,19 @@ class TestCliCommands:
             pytest.param(["fit", "ar", "{tmp}/nan.csv"], "fit", "line 4", id="fit-ar-nan"),
             pytest.param(["fit", "setar", "{tmp}/nan.csv"], "fit", "line 4", id="fit-setar-nan"),
             pytest.param(["fit", "lstar", "{tmp}/inf.csv"], "fit", "line 4", id="fit-lstar-inf"),
+            pytest.param(
+                ["transform", "{tmp}/prices.csv", "--output-dir", "{tmp}/series.csv/out"],
+                "transform", "cannot create output directory", id="transform-dir-under-a-file",
+            ),
+            pytest.param(
+                ["fit", "ar", "{tmp}/series.csv", "--output-dir", "{tmp}/series.csv/out"],
+                "fit", "cannot create output directory", id="fit-dir-under-a-file",
+            ),
+            pytest.param(
+                ["run", "--input", "{tmp}/prices.csv", "--break-index", "150",
+                 "--output-dir", "{tmp}/series.csv/out"],
+                "run", "cannot create output directory", id="run-dir-under-a-file",
+            ),
         ],
     )
     def test_malformed_input_is_one_error_line(
@@ -330,6 +343,9 @@ class TestCliCommands:
             json.dumps({**config, "models": [{"kind": "ar", "order": "1"}]})
         )
         values = [f"{i},{0.01 + 0.001 * (i % 7)}" for i in range(1, 61)]
+        (tmp_path / "series.csv").write_text("\n".join(["index,value"] + values) + "\n")
+        with open(price_csv) as handle:
+            (tmp_path / "prices.csv").write_text(handle.read())
         for cell in ("nan", "inf"):
             rows = ["index,value"] + values
             rows[3] = f"3,{cell}"

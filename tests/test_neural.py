@@ -10,7 +10,8 @@ from regimevol import (
     simulate,
     train_nnet_ar,
 )
-from regimevol.neural import lag_matrix_for, predict
+from regimevol.neural import predict
+from regimevol.series import lag_design
 from tests.conftest import make_regime_model
 
 
@@ -100,7 +101,7 @@ class TestGradient:
         m = random_model(rng, 1, 2)
         lags = rng.normal(size=(15, 1))
         targets = predict(m, lags)
-        g = gradient(m, lags, targets).to_vector()
+        g = gradient(m, lags, targets)
         assert np.max(np.abs(g)) < 1e-12
 
     def test_bias_gradient_is_negative_residual_sum(self):
@@ -110,7 +111,7 @@ class TestGradient:
         targets = rng.normal(size=30)
         resid = targets - predict(m, lags)
         g = gradient(m, lags, targets)
-        assert g.output_bias == pytest.approx(-resid.sum(), rel=1e-12)
+        assert g[0] == pytest.approx(-resid.sum(), rel=1e-12)
 
     @pytest.mark.parametrize("config", [(1, 1, False), (2, 3, False), (3, 4, True), (1, 2, True)])
     def test_matches_finite_differences(self, config):
@@ -119,7 +120,7 @@ class TestGradient:
         model = random_model(rng, m_in, d, skip)
         lags = rng.normal(size=(40, m_in))
         targets = rng.normal(size=40)
-        analytic = gradient(model, lags, targets).to_vector()
+        analytic = gradient(model, lags, targets)
         numeric = fd_gradient(model, lags, targets)
         assert np.linalg.norm(analytic - numeric) / np.linalg.norm(numeric) < 1e-6
 
@@ -156,7 +157,8 @@ class TestTraining:
 
         gen = make_regime_model("ar", [[0.0, 0.5]])
         x = simulate(gen, 120, 0.1, seed=2)
-        lags, targets = lag_matrix_for(x, 1)
+        design, targets = lag_design(x, 1)
+        lags = design[:, 1:]
         rng = np.random.default_rng(0)
         trace: list = []
         _descend(rng.uniform(-0.5, 0.5, 7), 1, 2, False, lags, targets, 200, 1e-8, trace=trace)

@@ -326,6 +326,87 @@ class TestProfiledGridOracle:
         assert rss == pytest.approx(expected, rel=tolerance)
 
 
+class TestSetarGridOracle:
+    """The 2- and 3-regime threshold grid against a per-candidate ``ols_fit`` loop."""
+
+    @staticmethod
+    def oracle(x, n_regimes, tv):
+        """Lowest total RSS over the candidate splits, its thresholds, and the
+        largest condition number among the segments scored.
+
+        Rows are sorted by the threshold variable and cut at the feasible
+        positions, as ``fit_setar`` does.  A segment counts when it has more
+        rows than coefficients and a design condition number below 1e6, the
+        grid's rank rule (Gram eigenvalue ratio above 1e-12).  Pairs are
+        scanned first cut major, and ties keep the first.
+        """
+        design, y = lag_design(x, 1)
+        z = regimes._threshold_row_values(tv, x, 1)
+        order = np.argsort(z, kind="stable")
+        design, y, z_sorted = design[order], y[order], z[order]
+        rows = len(y)
+        min_count = regimes._min_count(rows, 0.15 if n_regimes == 2 else 0.10, 1)
+        positions = [int(p) for p in regimes._split_positions(z_sorted, min_count)]
+        segments = {}
+
+        def segment(start, stop):
+            if (start, stop) not in segments:
+                part = design[start:stop]
+                sv = np.linalg.svd(part, compute_uv=False)
+                rss, cond = np.inf, 0.0
+                if stop - start > part.shape[1] and sv[-1] > sv[0] * 1e-6:
+                    try:
+                        rss, cond = ols_fit(part, y[start:stop]).rss, sv[0] / sv[-1]
+                    except RankDeficient:
+                        pass
+                segments[start, stop] = rss, cond
+            return segments[start, stop]
+
+        if n_regimes == 2:
+            cuts = [(a,) for a in positions]
+        else:
+            cuts = [(a, b) for a in positions for b in positions if b - a >= min_count]
+        best_rss, best_cut, worst_cond = np.inf, None, 0.0
+        for cut in cuts:
+            bounds = (0, *cut, rows)
+            parts = [segment(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+            total = sum(rss for rss, _ in parts)
+            worst_cond = max([worst_cond] + [cond for _, cond in parts])
+            if total < best_rss:
+                best_rss, best_cut = total, cut
+        thresholds = None if best_cut is None else z_sorted[list(best_cut)]
+        return best_rss, thresholds, worst_cond
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(30, 80),
+        tv_kind=st.sampled_from([TIME, LAGGED_VALUE]),
+        n_regimes=st.sampled_from([2, 3]),
+    )
+    def test_grid_winner_matches_oracle(self, seed, n, tv_kind, n_regimes):
+        rng = np.random.default_rng(seed)
+        noise = rng.normal(size=n)
+        x = np.empty(n)
+        x[0] = noise[0]
+        for t in range(1, n):
+            x[t] = (0.5 if x[t - 1] < 0 else -0.3) * x[t - 1] + noise[t]
+        tv = ThresholdVariable(tv_kind, 1)
+
+        expected, thresholds, cond = self.oracle(x, n_regimes, tv)
+        if thresholds is None:
+            with pytest.raises(NoFeasibleThreshold):
+                fit_setar(x, 1, n_regimes, tv)
+            return
+        model = fit_setar(x, 1, n_regimes, tv)
+        _, y = lag_design(x, 1)
+        assert np.array_equal(model.thresholds, thresholds)
+        # the grid scores by normal equations, whose RSS carries an error of
+        # about eps * cond^2 * y'y; the model refits its regimes by ols_fit
+        tolerance = 1e-9 + np.finfo(float).eps * cond**2 * (y @ y) / expected
+        assert model.rss == pytest.approx(expected, rel=tolerance)
+
+
 class TestTimeThresholdGrid:
     """Shifted windows of one transition per gamma against per-candidate weights."""
 

@@ -6,16 +6,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regimevol import (
+    GammaGrid,
     NonPositivePrice,
     OrderTooLarge,
     PriceSeries,
     ReturnSeries,
     TooShort,
+    TrainConfig,
     WindowTooLarge,
     WindowTooSmall,
+    fit_ar,
+    fit_lstar,
+    fit_setar,
     lag_design,
     log_returns,
     realized_volatility,
+    terasvirta_first_order,
+    train_nnet_ar,
 )
 
 
@@ -155,3 +162,23 @@ class TestLagDesign:
         design, response = lag_design([5.0, 6.0, 7.0], 0)
         assert design.shape == (3, 1)
         assert response.tolist() == [5.0, 6.0, 7.0]
+
+
+class TestNonFiniteValues:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "fit",
+        [
+            pytest.param(lambda x: fit_ar(x, 1), id="fit_ar"),
+            pytest.param(lambda x: fit_setar(x, 1, 2), id="fit_setar"),
+            pytest.param(lambda x: fit_lstar(x, 1, gamma_grid=GammaGrid(points=5)), id="fit_lstar"),
+            pytest.param(lambda x: train_nnet_ar(x, 1, 2, TrainConfig(restarts=1)), id="train_nnet_ar"),
+            pytest.param(lambda x: terasvirta_first_order(x, 1), id="terasvirta_first_order"),
+        ],
+    )
+    def test_first_non_finite_index_is_named(self, fit, bad):
+        x = np.random.default_rng(0).normal(size=80)
+        x[17] = bad
+        x[40] = np.nan
+        with pytest.raises(ValueError, match="at index 17$"):
+            fit(x)
