@@ -114,7 +114,12 @@ def _parse_model_spec(spec: str) -> pipeline.ModelRequest:
             if key in ("threshold",):
                 payload[key] = value
             elif key in ("standardize",):
-                payload[key] = value.lower() in ("1", "true", "yes")
+                flag = value.lower()
+                if flag not in ("1", "true", "yes", "0", "false", "no"):
+                    raise RegimevolError(
+                        f"standardize must be true/false/1/0/yes/no, got {value!r}"
+                    )
+                payload[key] = flag in ("1", "true", "yes")
             elif key in ("min_fraction", "gamma_lo", "gamma_hi", "gamma_step"):
                 payload[key] = float(value)
             else:

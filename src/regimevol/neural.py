@@ -169,8 +169,9 @@ def _forward(theta, m, d, skip, lag_matrix) -> tuple[np.ndarray, np.ndarray]:
     return activations, out
 
 
-def _gradient(theta, m, d, skip, lag_matrix, targets) -> np.ndarray:
-    activations, out = _forward(theta, m, d, skip, lag_matrix)
+def _gradient(theta, m, d, skip, lag_matrix, targets, state) -> np.ndarray:
+    """Gradient at ``theta``, given its forward pass ``state`` = (activations, output)."""
+    activations, out = state
     resid = targets - out
     output_weights = _unpack(theta, m, d, skip)[1]
     back = -(resid[:, None] * output_weights[None, :]) * activations * (1.0 - activations)
@@ -208,7 +209,9 @@ def gradient(model: NnetArModel, lag_matrix: np.ndarray, targets: np.ndarray) ->
     if lag_matrix.shape[0] != targets.shape[0]:
         raise DimensionMismatch("lag matrix and targets disagree on row count")
     skip = model.skip_weights is not None
-    return _gradient(model.to_vector(), model.n_inputs, model.n_hidden, skip, lag_matrix, targets)
+    theta = model.to_vector()
+    state = _forward(theta, model.n_inputs, model.n_hidden, skip, lag_matrix)
+    return _gradient(theta, model.n_inputs, model.n_hidden, skip, lag_matrix, targets, state)
 
 
 @dataclass(frozen=True)
@@ -220,6 +223,10 @@ class TrainConfig:
     skip: bool = False
     standardize: bool = False
     tol: float = 1e-8
+
+    def __post_init__(self):
+        if self.restarts < 1:
+            raise ValueError(f"restarts must be at least 1, got {self.restarts}")
 
 
 @dataclass(frozen=True)
@@ -234,8 +241,10 @@ class NnetFitResult:
 
 
 def _half_rss(theta, m, d, skip, lag_matrix, targets):
-    resid = targets - _forward(theta, m, d, skip, lag_matrix)[1]
-    return 0.5 * float(resid @ resid)
+    """Half the RSS at ``theta``, and the forward pass (activations, output) behind it."""
+    state = _forward(theta, m, d, skip, lag_matrix)
+    resid = targets - state[1]
+    return 0.5 * float(resid @ resid), state
 
 
 def _descend(theta, m, d, skip, lag_matrix, targets, max_iters, tol, trace=None):
@@ -243,7 +252,7 @@ def _descend(theta, m, d, skip, lag_matrix, targets, max_iters, tol, trace=None)
 
     ``trace``, when a list, receives the starting loss and each accepted loss.
     """
-    loss = _half_rss(theta, m, d, skip, lag_matrix, targets)
+    loss, state = _half_rss(theta, m, d, skip, lag_matrix, targets)
     if not np.isfinite(loss):
         raise NonFiniteLoss("loss not finite at the initial weights")
     if trace is not None:
@@ -251,25 +260,23 @@ def _descend(theta, m, d, skip, lag_matrix, targets, max_iters, tol, trace=None)
     step = 1.0
     iterations = 0
     for iterations in range(1, max_iters + 1):
-        grad = _gradient(theta, m, d, skip, lag_matrix, targets)
+        grad = _gradient(theta, m, d, skip, lag_matrix, targets, state)
         gnorm2 = float(grad @ grad)
         if gnorm2 == 0.0:
             return theta, loss, iterations, True
         alpha = step
-        new_theta = theta
-        new_loss = loss
         while alpha >= _MIN_STEP:
             candidate = theta - alpha * grad
-            cand_loss = _half_rss(candidate, m, d, skip, lag_matrix, targets)
+            cand_loss, cand_state = _half_rss(candidate, m, d, skip, lag_matrix, targets)
             if np.isfinite(cand_loss) and cand_loss <= loss - _ARMIJO * alpha * gnorm2:
-                new_theta, new_loss = candidate, cand_loss
                 break
             alpha *= 0.5
         else:
             # no descent step exists at the smallest stride: local minimum
             return theta, loss, iterations, True
-        relative_drop = (loss - new_loss) / max(loss, 1e-300)
-        theta, loss = new_theta, new_loss
+        relative_drop = (loss - cand_loss) / max(loss, 1e-300)
+        # the accepted candidate's forward pass serves the next gradient
+        theta, loss, state = candidate, cand_loss, cand_state
         if not np.isfinite(loss):
             raise NonFiniteLoss(f"loss became non-finite at iteration {iterations}")
         if trace is not None:

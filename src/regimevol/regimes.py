@@ -5,7 +5,8 @@ values (trimmed so every regime keeps a minimum fraction of rows), with
 regime-wise OLS per candidate.  Smooth-transition models are estimated in two
 stages: a (gamma, c) grid where the remaining coefficients solve by OLS,
 followed by a damped Gauss-Newton refinement of all parameters jointly.  Both
-grids share batched segment/Gram machinery so a full search stays fast.
+grids score batched normal equations through one chunked first-wins scan, so
+a full search stays fast and its memory bounded.
 """
 
 from __future__ import annotations
@@ -43,12 +44,21 @@ _GRID_CHUNK = 8192
 
 def _masked_logistic(arg: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-arg)), with exp taken only of non-positive values."""
-    out = np.empty_like(arg)
-    pos = arg >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-arg[pos]))
-    expa = np.exp(arg[~pos])
-    out[~pos] = expa / (1.0 + expa)
-    return out
+    e = np.exp(-np.abs(arg))
+    return np.where(arg >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _transition_weights(kind: str, z, gamma, c):
+    # branchless logistic: exp overflow saturates to inf and the ratio to 0,
+    # which is the correct limit, so only the warning needs silencing.  It is
+    # kept apart from _masked_logistic on purpose: for negative arguments the
+    # two differ in the last bit on a third to a half of the values, so
+    # merging them would move the grid and Gauss-Newton RSS bits.
+    if kind == LOGISTIC:
+        with np.errstate(over="ignore"):
+            return 1.0 / (1.0 + np.exp(-gamma * (z - c)))
+    diff = z - c
+    return 1.0 - np.exp(-gamma * diff * diff)
 
 
 def logistic_transition(z, gamma: float, c: float):
@@ -65,8 +75,7 @@ def exponential_transition(z, gamma: float, c: float):
     """G(z; gamma, c) = 1 - exp(-gamma (z - c)^2)."""
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    arg = np.asarray(z, dtype=float) - c
-    out = 1.0 - np.exp(-gamma * arg * arg)
+    out = _transition_weights(EXPONENTIAL, np.asarray(z, dtype=float), gamma, c)
     if out.ndim == 0 or np.isscalar(z):
         return float(out)
     return out
@@ -426,6 +435,48 @@ def _min_count(rows: int, min_fraction: float, order: int) -> int:
     return max(int(np.ceil(min_fraction * rows)), order + 2)
 
 
+def _grid_setup(series, order: int, tv: ThresholdVariable, min_fraction, n_regimes: int):
+    """What both threshold searches start from: x, design, y, z, the stable
+    sort of z, z sorted, the feasible split positions and ``min_count``, the
+    fewest rows a regime may keep (``min_fraction`` of them, by default 0.15
+    for 2 regimes and 0.10 for 3)."""
+    if min_fraction is None:
+        min_fraction = 0.15 if n_regimes == 2 else 0.10
+    x = series_values(series)
+    design, y = lag_design(x, order)
+    rows = len(y)
+    z = _threshold_row_values(tv, x, order)
+    min_count = _min_count(rows, min_fraction, order)
+    if rows < n_regimes * min_count:
+        raise SeriesTooShort(
+            f"{rows} rows cannot hold {n_regimes} regimes of at least {min_count}"
+        )
+    sort_idx = np.argsort(z, kind="stable")
+    z_sorted = z[sort_idx]
+    positions = _split_positions(z_sorted, min_count)
+    if len(positions) == 0:
+        raise NoFeasibleThreshold("no candidate threshold satisfies the minimum fraction")
+    return x, design, y, z, sort_idx, z_sorted, positions, min_count
+
+
+def _first_min(n_candidates: int, score) -> tuple[int, float]:
+    """Index and value of the lowest score over candidates 0..n_candidates-1.
+
+    ``score(start, stop)`` returns the RSS of candidates start..stop-1 (inf
+    where infeasible); it is called on ``_GRID_CHUNK``-sized chunks in index
+    order, so memory stays bounded, and ties keep the lowest index.
+    """
+    best, best_rss = None, np.inf
+    for start in range(0, n_candidates, _GRID_CHUNK):
+        rss = score(start, min(start + _GRID_CHUNK, n_candidates))
+        pick = int(np.argmin(rss))
+        if rss[pick] < best_rss:
+            best, best_rss = start + pick, float(rss[pick])
+    if best is None:
+        raise NoFeasibleThreshold("every candidate threshold is rank deficient")
+    return best, best_rss
+
+
 def fit_setar(
     series,
     order: int,
@@ -444,51 +495,36 @@ def fit_setar(
     if n_regimes not in (2, 3):
         raise ValueError("n_regimes must be 2 or 3")
     tv = threshold_variable or ThresholdVariable(TIME)
-    if min_fraction is None:
-        min_fraction = 0.15 if n_regimes == 2 else 0.10
-    x = series_values(series)
-    design, y = lag_design(x, order)
-    rows = len(y)
-    z = _threshold_row_values(tv, x, order)
-    min_count = _min_count(rows, min_fraction, order)
-    if rows < n_regimes * min_count:
-        raise SeriesTooShort(
-            f"{rows} rows cannot hold {n_regimes} regimes of at least {min_count}"
-        )
-
-    sort_idx = np.argsort(z, kind="stable")
-    z_sorted = z[sort_idx]
+    x, design, y, z, sort_idx, z_sorted, positions, min_count = _grid_setup(
+        series, order, tv, min_fraction, n_regimes
+    )
     sxx, sxy, syy = _prefix_stats(design[sort_idx], y[sort_idx])
-    positions = _split_positions(z_sorted, min_count)
-    if len(positions) == 0:
-        raise NoFeasibleThreshold("no candidate threshold satisfies the minimum fraction")
+    zeros = np.zeros(len(positions), dtype=int)
+    low = _segment_rss(sxx, sxy, syy, zeros, positions)
+    high = _segment_rss(sxx, sxy, syy, positions, zeros + len(y))
 
     if n_regimes == 2:
-        zeros = np.zeros(len(positions), dtype=int)
-        ends = np.full(len(positions), rows, dtype=int)
-        total = _segment_rss(sxx, sxy, syy, zeros, positions) + _segment_rss(
-            sxx, sxy, syy, positions, ends
-        )
-        if not np.any(np.isfinite(total)):
-            raise NoFeasibleThreshold("every candidate split is rank deficient")
-        best = int(np.argmin(total))
-        cut_positions = [int(positions[best])]
+        best, _ = _first_min(len(positions), lambda lo, hi: low[lo:hi] + high[lo:hi])
+        cut_positions = positions[[best]]
     else:
-        low = _segment_rss(sxx, sxy, syy, np.zeros(len(positions), dtype=int), positions)
-        high = _segment_rss(sxx, sxy, syy, positions, np.full(len(positions), rows, dtype=int))
         # pairs a < b with positions[b] - positions[a] >= min_count, a-major:
         # each a pairs with b = later[a], ..., P - 1
         later = np.searchsorted(positions, positions + min_count, side="left")
         counts = len(positions) - later
-        ia = np.repeat(np.arange(len(positions)), counts)
-        ib = np.arange(len(ia)) + np.repeat(later - (np.cumsum(counts) - counts), counts)
-        starts, stops = positions[ia], positions[ib]
-        mid = _segment_rss(sxx, sxy, syy, starts, stops)
-        total = low[ia] + mid + high[ib]
-        if not np.any(np.isfinite(total)):
-            raise NoFeasibleThreshold("every candidate split pair is rank deficient")
-        best = int(np.argmin(total))
-        cut_positions = [int(starts[best]), int(stops[best])]
+        ends = np.cumsum(counts)
+        shift = later - (ends - counts)
+
+        def pair(flat):
+            # a's run of pairs is the first to end after flat; b is its offset
+            a = np.searchsorted(ends, flat, side="right")
+            return a, flat + shift[a]
+
+        def score(start, stop):
+            a, b = pair(np.arange(start, stop))
+            return low[a] + _segment_rss(sxx, sxy, syy, positions[a], positions[b]) + high[b]
+
+        best, _ = _first_min(int(ends[-1]), score)
+        cut_positions = positions[list(pair(best))]
 
     thresholds = z_sorted[cut_positions]
     assignment = _regime_assignment(thresholds, z)
@@ -545,19 +581,6 @@ class GammaGrid:
         return np.geomspace(self.lo, self.hi, self.points)
 
 
-def _transition_weights(kind: str, z, gamma, c):
-    # branchless logistic: exp overflow saturates to inf and the ratio to 0,
-    # which is the correct limit, so only the warning needs silencing.  It is
-    # kept apart from _masked_logistic on purpose: for negative arguments the
-    # two differ in the last bit on a third to a half of the values, so
-    # merging them would move the grid and Gauss-Newton RSS bits.
-    if kind == LOGISTIC:
-        with np.errstate(over="ignore"):
-            return 1.0 / (1.0 + np.exp(-gamma * (z - c)))
-    diff = z - c
-    return 1.0 - np.exp(-gamma * diff * diff)
-
-
 def _profiled_grid(base, block, y, z, gammas, c_values, kind, time_threshold):
     """Best (gamma, c) over the grid, profiling out the linear coefficients.
 
@@ -585,28 +608,28 @@ def _profiled_grid(base, block, y, z, gammas, c_values, kind, time_threshold):
     block_y = block * y[:, None]
 
     n_c = len(c_values)
-    best_rss, best_gamma, best_c = np.inf, None, None
-    order_gamma = np.repeat(gammas, n_c)
-    order_c = np.tile(c_values, len(gammas))
     if time_threshold:
         lags = np.arange(-(rows - 1), rows, dtype=float)
         # window start in ``lags`` for each c: lags[start + i] == z[i] - c
         window_start = (z[0] - c_values).astype(np.intp) + (rows - 1)
 
-    for start in range(0, len(order_gamma), _GRID_CHUNK):
-        stop = min(start + _GRID_CHUNK, len(order_gamma))
+    # each chunk's Gram and right-hand side live until the next chunk has
+    # built its (chunk, rows) arrays; freeing all at once let malloc return
+    # that block to the OS, and faulting it back made lagged grids ~10% slower
+    previous = []
+
+    def score(start, stop):
+        candidates = np.arange(start, stop)
+        pick_g, pick_c = candidates // n_c, candidates % n_c
         if time_threshold:
             g_first = start // n_c
-            g_span = gammas[g_first : (stop - 1) // n_c + 1, None]
+            g_span = gammas[g_first : pick_g[-1] + 1, None]
             table = _transition_weights(kind, lags[None, :], g_span, 0.0)
-            candidates = np.arange(start, stop)
-            pick_g = candidates // n_c - g_first
-            pick_c = window_start[candidates % n_c]
-            weights = sliding_window_view(table, rows, axis=1)[pick_g, pick_c]
-            squares = sliding_window_view(table * table, rows, axis=1)[pick_g, pick_c]
+            windows = (pick_g - g_first, window_start[pick_c])
+            weights = sliding_window_view(table, rows, axis=1)[windows]
+            squares = sliding_window_view(table * table, rows, axis=1)[windows]
         else:
-            g_par = order_gamma[start:stop, None]
-            c_par = order_c[start:stop, None]
+            g_par, c_par = gammas[pick_g, None], c_values[pick_c, None]
             weights = _transition_weights(kind, z[None, :], g_par, c_par)
             squares = weights * weights
         m = weights.shape[0]
@@ -625,20 +648,13 @@ def _profiled_grid(base, block, y, z, gammas, c_values, kind, time_threshold):
         rhs = np.empty((m, k))
         rhs[:, :kb] = bty
         rhs[:, kb:] = weights @ block_y
-        # freed here, not when the next chunk rebinds them, so the grid holds
-        # at most two (chunk, rows) arrays instead of three
+        # freed before the solve, so its work arrays do not add to the peak
         del weights, squares
+        previous[:] = gram, rhs
+        return _screened_rss(gram, rhs, yy)
 
-        rss = _screened_rss(gram, rhs, yy)
-        pick = int(np.argmin(rss))
-        if rss[pick] < best_rss:
-            best_rss = float(rss[pick])
-            best_gamma = float(order_gamma[start + pick])
-            best_c = float(order_c[start + pick])
-
-    if best_gamma is None:
-        raise NoFeasibleThreshold("every (gamma, c) candidate is rank deficient")
-    return best_gamma, best_c, best_rss
+    best, rss = _first_min(len(gammas) * n_c, score)
+    return float(gammas[best // n_c]), float(c_values[best % n_c]), rss
 
 
 def _pack_star(theta, k1, n_transitions):
@@ -676,72 +692,40 @@ def fit_lstar(
         raise ValueError(f"unknown transition kind {transition!r}")
     tv = threshold_variable or ThresholdVariable(TIME)
     grid = gamma_grid or GammaGrid()
-    if min_fraction is None:
-        min_fraction = 0.15 if n_transitions == 1 else 0.10
-
-    x = series_values(series)
-    design, y = lag_design(x, order)
-    rows = len(y)
+    x, design, y, z, _, z_sorted, positions, min_count = _grid_setup(
+        series, order, tv, min_fraction, n_transitions + 1
+    )
     k1 = order + 1
-    z = _threshold_row_values(tv, x, order)
-    min_count = _min_count(rows, min_fraction, order)
-    if rows < (n_transitions + 1) * min_count:
-        raise SeriesTooShort(
-            f"{rows} rows cannot hold {n_transitions + 1} regimes of at least {min_count}"
-        )
-
-    sort_idx = np.argsort(z, kind="stable")
-    z_sorted = z[sort_idx]
-    positions = _split_positions(z_sorted, min_count)
-    if len(positions) == 0:
-        raise NoFeasibleThreshold("no candidate threshold satisfies the minimum fraction")
-    c_candidates = z_sorted[positions]
     gammas = np.unique(np.append(grid.values(), gamma_init))
 
-    time_threshold = tv.kind == TIME
-    gamma1, c1, _ = _profiled_grid(
-        design, design, y, z, gammas, c_candidates, transition, time_threshold
-    )
-    grid_gammas = [gamma1]
-    grid_cs = [c1]
-
-    if n_transitions == 2:
-        w1 = _transition_weights(transition, z, gamma1, c1)
-        base2 = np.hstack([design, w1[:, None] * design])
-        a1 = int(np.searchsorted(z_sorted, c1, side="left"))
-        feasible_c2 = []
-        for pos in positions:
-            segs = sorted([a1, int(pos)])
-            counts = (segs[0], segs[1] - segs[0], rows - segs[1])
-            if min(counts) >= min_count:
-                feasible_c2.append(z_sorted[pos])
-        if not feasible_c2:
-            raise NoFeasibleThreshold("no feasible second threshold given the first")
-        gamma2, c2, _ = _profiled_grid(
-            base2, design, y, z, gammas, np.asarray(feasible_c2), transition, time_threshold
+    # greedy: each transition is grid-fit given the ones before, its c at
+    # least min_count rows from theirs (every position already leaves that many
+    # at both ends); the design built up is also the stage-1 OLS design
+    base = design
+    grid_gammas, grid_cs = [], []
+    c_positions = positions
+    for _ in range(n_transitions):
+        gamma, c, _ = _profiled_grid(
+            base, design, y, z, gammas, z_sorted[c_positions], transition, tv.kind == TIME
         )
-        grid_gammas.append(gamma2)
-        grid_cs.append(c2)
-
-    # stage-1 coefficients by a plain OLS refit at the winning grid point
-    weight_cols = [_transition_weights(transition, z, g, c) for g, c in zip(grid_gammas, grid_cs)]
-    stage1_design = np.hstack([design] + [w[:, None] * design for w in weight_cols])
-    stage1 = ols_fit(stage1_design, y)
+        grid_gammas.append(gamma)
+        grid_cs.append(c)
+        base = np.hstack([base, _transition_weights(transition, z, gamma, c)[:, None] * design])
+        at = np.searchsorted(z_sorted, c, side="left")
+        c_positions = c_positions[np.abs(c_positions - at) >= min_count]
+    stage1 = ols_fit(base, y)
 
     # the refinement stays inside the searched region: gamma within the grid
     # bounds, c within the trimmed span of observed threshold values
     theta0 = np.concatenate([stage1.coefficients, grid_gammas, grid_cs])
-    c_lo = z_sorted[positions[0]]
-    c_hi = z_sorted[positions[-1]]
-    n_par = len(theta0)
-    lower = np.full(n_par, -np.inf)
-    upper = np.full(n_par, np.inf)
-    lower[k1 * (n_transitions + 1) : k1 * (n_transitions + 1) + n_transitions] = min(
-        grid.lo, gamma_init
-    )
-    upper[k1 * (n_transitions + 1) : k1 * (n_transitions + 1) + n_transitions] = grid.hi
-    lower[k1 * (n_transitions + 1) + n_transitions :] = c_lo
-    upper[k1 * (n_transitions + 1) + n_transitions :] = c_hi
+    lower = np.full(len(theta0), -np.inf)
+    upper = np.full(len(theta0), np.inf)
+    _, _, lower_gamma, lower_c = _pack_star(lower, k1, n_transitions)
+    _, _, upper_gamma, upper_c = _pack_star(upper, k1, n_transitions)
+    lower_gamma[:] = min(grid.lo, gamma_init)
+    upper_gamma[:] = grid.hi
+    lower_c[:] = z_sorted[positions[0]]
+    upper_c[:] = z_sorted[positions[-1]]
 
     def residual(theta):
         a, blocks, gs, cs = _pack_star(theta, k1, n_transitions)
@@ -824,6 +808,8 @@ def simulate(
         raise ValueError("length must be positive")
     if noise_sd < 0:
         raise ValueError("noise_sd must be non-negative")
+    if burn_in < 0:
+        raise ValueError("burn_in must be non-negative")
     rng = np.random.default_rng(seed)
     history = [0.0] * max(model.order, 1)
     path = np.empty(burn_in + length)

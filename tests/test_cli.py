@@ -9,6 +9,7 @@ import pytest
 from regimevol import PipelineConfig, run_pipeline
 from regimevol.cli import main
 from regimevol.errors import PipelineError
+from tests.conftest import make_regime_model
 
 
 def synthetic_prices(n=300, break_at=150, seed=7):
@@ -316,6 +317,20 @@ class TestCliCommands:
                  "--output-dir", "{tmp}/series.csv/out"],
                 "run", "cannot create output directory", id="run-dir-under-a-file",
             ),
+            pytest.param(
+                ["simulate", "{tmp}/ar-model.json", "--length", "10", "--burn-in", "-5"],
+                "simulate", "burn_in", id="simulate-negative-burn-in",
+            ),
+            pytest.param(
+                ["fit", "nnet", "{tmp}/series.csv", "--restarts", "0",
+                 "--output-dir", "{tmp}/out"],
+                "fit", "restarts", id="fit-nnet-zero-restarts",
+            ),
+            pytest.param(
+                ["compare", "{tmp}/series.csv", "--model", "ar:order=1",
+                 "--model", "nnet:standardize=maybe", "--output-dir", "{tmp}/out"],
+                "compare", "standardize", id="compare-standardize-not-a-flag",
+            ),
         ],
     )
     def test_malformed_input_is_one_error_line(
@@ -339,6 +354,9 @@ class TestCliCommands:
             json.dumps({**config, "volatility_window": "60"})
         )
         (tmp_path / "int-models.json").write_text(json.dumps({**config, "models": 5}))
+        (tmp_path / "ar-model.json").write_text(
+            json.dumps(make_regime_model("ar", [[0.0, 0.5]]).to_dict())
+        )
         (tmp_path / "string-order.json").write_text(
             json.dumps({**config, "models": [{"kind": "ar", "order": "1"}]})
         )

@@ -445,6 +445,59 @@ class TestTimeThresholdGrid:
             assert shifted[0][1] > regimes._GRID_CHUNK
 
 
+class TestSharedScan:
+    """The one first-wins scan behind the SETAR and STAR grids."""
+
+    @pytest.mark.parametrize("chunk", [7, 64])
+    @pytest.mark.parametrize("n_regimes", [2, 3])
+    @pytest.mark.parametrize("tv_kind", [TIME, LAGGED_VALUE])
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_setar_winner_does_not_depend_on_chunk_size(
+        self, monkeypatch, setar_generator, chunk, n_regimes, tv_kind, exact
+    ):
+        # the exact AR(1) relation makes many splits tie at zero RSS, so the
+        # first-wins rule has to hold across chunk boundaries
+        t = np.arange(1, 151)
+        x = 1.0 + 0.97**t if exact else simulate(setar_generator, 150, 0.1, seed=11)
+        tv = ThresholdVariable(tv_kind, 1)
+        default = fit_setar(x, 1, n_regimes, tv)
+        monkeypatch.setattr(regimes, "_GRID_CHUNK", chunk)
+        chunked = fit_setar(x, 1, n_regimes, tv)
+        assert np.array_equal(chunked.thresholds, default.thresholds)
+        assert chunked.rss == default.rss
+
+    @pytest.mark.parametrize("tv_kind", [TIME, LAGGED_VALUE])
+    def test_second_transition_keeps_min_count_in_every_regime(
+        self, monkeypatch, lstar_time_generator, tv_kind
+    ):
+        x = simulate(lstar_time_generator, 150, 0.05, seed=4)
+        tv = ThresholdVariable(tv_kind, 1)
+        calls = []
+        computed = regimes._profiled_grid
+
+        def recording(*args):
+            out = computed(*args)
+            calls.append((args[5], out))
+            return out
+
+        monkeypatch.setattr(regimes, "_profiled_grid", recording)
+        fit_lstar(x, 1, 2, tv, gamma_grid=GammaGrid(points=10), refine=False)
+        assert len(calls) == 2
+
+        z_sorted = np.sort(regimes._threshold_row_values(tv, x, 1), kind="stable")
+        rows = len(z_sorted)
+        min_count = regimes._min_count(rows, 0.10, 1)
+        positions = regimes._split_positions(z_sorted, min_count)
+        first = int(np.searchsorted(z_sorted, calls[0][1][1], side="left"))
+        expected = []
+        for pos in positions:
+            lo, hi = sorted([first, int(pos)])
+            if min(lo, hi - lo, rows - hi) >= min_count:
+                expected.append(z_sorted[pos])
+        assert np.array_equal(calls[0][0], z_sorted[positions])
+        assert np.array_equal(calls[1][0], expected)
+
+
 class TestOneStepFitted:
     def test_zero_coefficient_ar_predicts_intercept(self):
         m = make_regime_model("ar", [[0.7, 0.0]])
@@ -495,3 +548,8 @@ class TestSimulate:
         a = simulate(setar_generator, 200, 0.1, seed=1)
         b = simulate(setar_generator, 200, 0.1, seed=2)
         assert not np.array_equal(a, b)
+
+    def test_negative_burn_in_is_rejected(self):
+        m = make_regime_model("ar", [[0.0, 0.5]])
+        with pytest.raises(ValueError, match="burn_in"):
+            simulate(m, 10, 0.0, burn_in=-5)
