@@ -40,6 +40,7 @@ EXPONENTIAL = "exponential"
 _EXPLOSION_LIMIT = 1e8
 _EIG_RATIO = 1e-12
 _GRID_CHUNK = 8192
+_TILE_BYTES = 1 << 22
 
 
 def _masked_logistic(arg: np.ndarray) -> np.ndarray:
@@ -48,17 +49,33 @@ def _masked_logistic(arg: np.ndarray) -> np.ndarray:
     return np.where(arg >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def _transition_weights(kind: str, z, gamma, c):
+def _transition_weights(kind: str, z, gamma, c, out=None):
+    """G(z; gamma, c) of either kind, written into ``out`` when given.
+
+    Logistic: 1 / (1 + exp(-gamma (z - c))); exponential:
+    1 - exp(-gamma (z - c) (z - c)).  Each is evaluated one operation at a
+    time in that order, so filling ``out`` in place gives the bits of the
+    plain expression.
+    """
     # branchless logistic: exp overflow saturates to inf and the ratio to 0,
     # which is the correct limit, so only the warning needs silencing.  It is
     # kept apart from _masked_logistic on purpose: for negative arguments the
     # two differ in the last bit on a third to a half of the values, so
     # merging them would move the grid and Gauss-Newton RSS bits.
+    if out is None:
+        out = np.empty(np.broadcast_shapes(np.shape(z), np.shape(gamma), np.shape(c)))
     if kind == LOGISTIC:
+        np.subtract(z, c, out=out)
+        np.multiply(-gamma, out, out=out)
         with np.errstate(over="ignore"):
-            return 1.0 / (1.0 + np.exp(-gamma * (z - c)))
-    diff = z - c
-    return 1.0 - np.exp(-gamma * diff * diff)
+            np.exp(out, out=out)
+        np.add(1.0, out, out=out)
+        return np.divide(1.0, out, out=out)
+    diff = np.subtract(z, c)
+    np.multiply(-gamma, diff, out=out)
+    np.multiply(out, diff, out=out)
+    np.exp(out, out=out)
+    return np.subtract(1.0, out, out=out)
 
 
 def logistic_transition(z, gamma: float, c: float):
@@ -459,16 +476,18 @@ def _grid_setup(series, order: int, tv: ThresholdVariable, min_fraction, n_regim
     return x, design, y, z, sort_idx, z_sorted, positions, min_count
 
 
-def _first_min(n_candidates: int, score) -> tuple[int, float]:
+def _first_min(n_candidates: int, score, chunk: int | None = None) -> tuple[int, float]:
     """Index and value of the lowest score over candidates 0..n_candidates-1.
 
     ``score(start, stop)`` returns the RSS of candidates start..stop-1 (inf
-    where infeasible); it is called on ``_GRID_CHUNK``-sized chunks in index
-    order, so memory stays bounded, and ties keep the lowest index.
+    where infeasible); it is called on chunks of ``chunk`` candidates
+    (default ``_GRID_CHUNK``) in index order, so memory stays bounded, and
+    ties keep the lowest index.
     """
+    chunk = chunk or _GRID_CHUNK
     best, best_rss = None, np.inf
-    for start in range(0, n_candidates, _GRID_CHUNK):
-        rss = score(start, min(start + _GRID_CHUNK, n_candidates))
+    for start in range(0, n_candidates, chunk):
+        rss = score(start, min(start + chunk, n_candidates))
         pick = int(np.argmin(rss))
         if rss[pick] < best_rss:
             best, best_rss = start + pick, float(rss[pick])
@@ -595,6 +614,19 @@ def _profiled_grid(base, block, y, z, gammas, c_values, kind, time_threshold):
     -(rows-1)..rows-1, and every c takes its window of it.  The lags are the
     same floats as z - c, so the weights, and everything after them, are
     bit-identical to evaluating each candidate.
+
+    A lagged-value threshold evaluates each candidate's transition, ``tile``
+    candidates at a time in scan order, in place in two (tile, rows) buffers
+    made once per grid, of at least ``_TILE_BYTES`` each, so memory grows
+    linearly in rows.  Every product (w @ cross, w @ block*y, w*w @ auto)
+    has ``tile`` rows: chunks hold whole tiles, and the grid's short last
+    tile reaches back over candidates already scored.  So each product stays
+    above the 1e6 multiply-adds under which OpenBLAS switches to a
+    small-matrix kernel.  Its blocked kernel gives a row the same bits
+    whatever the row count, so the RSS is bit-identical to one product per
+    ``_GRID_CHUNK`` chunk; with 1 MiB tiles the small kernel moved it in the
+    last bits, and the winner with it where candidates tie to roundoff, as on
+    a random walk's plateau of steep gammas.
     """
     rows, kb = base.shape
     ka = block.shape[1]
@@ -608,30 +640,67 @@ def _profiled_grid(base, block, y, z, gammas, c_values, kind, time_threshold):
     block_y = block * y[:, None]
 
     n_c = len(c_values)
-    if time_threshold:
-        lags = np.arange(-(rows - 1), rows, dtype=float)
-        # window start in ``lags`` for each c: lags[start + i] == z[i] - c
-        window_start = (z[0] - c_values).astype(np.intp) + (rows - 1)
+    if not time_threshold:
+        n_candidates = len(gammas) * n_c
+        tile = min(n_candidates, -(-_TILE_BYTES // (8 * rows)))
+        weights, squares = np.empty((tile, rows)), np.empty((tile, rows))
+        tile_upper = np.empty((tile, kb * ka))
+        tile_lower = np.empty((tile, auto.shape[1]))
+        tile_rhs = np.empty((tile, ka))
+
+        def tiled(start, stop):
+            m = stop - start
+            upper = np.empty((m, kb * ka))
+            lower = np.empty((m, auto.shape[1]))
+            rhs_tail = np.empty((m, ka))
+            for lo in range(start, stop, tile):
+                hi = min(lo + tile, stop)
+                # the grid's short last tile reaches back over scored rows
+                first = max(0, hi - tile)
+                picks = np.arange(first, hi)
+                w = _transition_weights(
+                    kind, z, gammas[picks // n_c, None], c_values[picks % n_c, None], weights
+                )
+                np.matmul(w, cross, out=tile_upper)
+                np.matmul(w, block_y, out=tile_rhs)
+                np.matmul(np.multiply(w, w, out=squares), auto, out=tile_lower)
+                upper[lo - start : hi - start] = tile_upper[lo - first :]
+                lower[lo - start : hi - start] = tile_lower[lo - first :]
+                rhs_tail[lo - start : hi - start] = tile_rhs[lo - first :]
+            gram = np.empty((m, k, k))
+            gram[:, :kb, :kb] = btb
+            upper = upper.reshape(m, kb, ka)
+            gram[:, :kb, kb:] = upper
+            gram[:, kb:, :kb] = upper.transpose(0, 2, 1)
+            gram[:, kb + tri[0], kb + tri[1]] = lower
+            gram[:, kb + tri[1], kb + tri[0]] = lower
+            rhs = np.empty((m, k))
+            rhs[:, :kb] = bty
+            rhs[:, kb:] = rhs_tail
+            return _screened_rss(gram, rhs, yy)
+
+        best, rss = _first_min(n_candidates, tiled, tile * max(1, _GRID_CHUNK // tile))
+        return float(gammas[best // n_c]), float(c_values[best % n_c]), rss
+
+    lags = np.arange(-(rows - 1), rows, dtype=float)
+    # window start in ``lags`` for each c: lags[start + i] == z[i] - c
+    window_start = (z[0] - c_values).astype(np.intp) + (rows - 1)
 
     # each chunk's Gram and right-hand side live until the next chunk has
     # built its (chunk, rows) arrays; freeing all at once let malloc return
-    # that block to the OS, and faulting it back made lagged grids ~10% slower
+    # that block to the OS, and faulting it back made the chunks ~10% slower
+    # (the lagged-value grid keeps its buffers for the whole grid instead)
     previous = []
 
     def score(start, stop):
         candidates = np.arange(start, stop)
         pick_g, pick_c = candidates // n_c, candidates % n_c
-        if time_threshold:
-            g_first = start // n_c
-            g_span = gammas[g_first : pick_g[-1] + 1, None]
-            table = _transition_weights(kind, lags[None, :], g_span, 0.0)
-            windows = (pick_g - g_first, window_start[pick_c])
-            weights = sliding_window_view(table, rows, axis=1)[windows]
-            squares = sliding_window_view(table * table, rows, axis=1)[windows]
-        else:
-            g_par, c_par = gammas[pick_g, None], c_values[pick_c, None]
-            weights = _transition_weights(kind, z[None, :], g_par, c_par)
-            squares = weights * weights
+        g_first = start // n_c
+        g_span = gammas[g_first : pick_g[-1] + 1, None]
+        table = _transition_weights(kind, lags[None, :], g_span, 0.0)
+        windows = (pick_g - g_first, window_start[pick_c])
+        weights = sliding_window_view(table, rows, axis=1)[windows]
+        squares = sliding_window_view(table * table, rows, axis=1)[windows]
         m = weights.shape[0]
 
         gram = np.empty((m, k, k))
@@ -705,9 +774,12 @@ def fit_lstar(
     grid_gammas, grid_cs = [], []
     c_positions = positions
     for _ in range(n_transitions):
-        gamma, c, _ = _profiled_grid(
-            base, design, y, z, gammas, z_sorted[c_positions], transition, tv.kind == TIME
-        )
+        try:
+            gamma, c, _ = _profiled_grid(
+                base, design, y, z, gammas, z_sorted[c_positions], transition, tv.kind == TIME
+            )
+        except NoFeasibleThreshold as exc:
+            raise NoFeasibleThreshold(f"transition {len(grid_cs) + 1}: {exc}") from None
         grid_gammas.append(gamma)
         grid_cs.append(c)
         base = np.hstack([base, _transition_weights(transition, z, gamma, c)[:, None] * design])

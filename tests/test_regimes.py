@@ -57,6 +57,26 @@ class TestTransitionFunctions:
             exponential_transition(c - a, 1.7, c), abs=1e-15
         )
 
+    @pytest.mark.parametrize("kind", ["logistic", "exponential"])
+    def test_weights_in_place_equal_allocating_form(self, kind):
+        # +-0 and arguments where exp overflows (logistic) or underflows
+        rng = np.random.default_rng(3)
+        root = np.sqrt(800.0)
+        z = np.concatenate([[0.0, -0.0, 800.0, -800.0, root, -root], rng.normal(size=58)])
+        gamma = np.array([[1.0], [0.5], [37.0]])
+        c = np.array([[0.0], [-0.0], [0.3]])
+        with np.errstate(over="ignore"):
+            if kind == "logistic":
+                expected = 1.0 / (1.0 + np.exp(-gamma * (z - c)))
+            else:
+                diff = z - c
+                expected = 1.0 - np.exp(-gamma * diff * diff)
+        out = np.full((3, len(z)), np.nan)
+        filled = regimes._transition_weights(kind, z, gamma, c, out)
+        assert filled is out
+        assert out.tobytes() == expected.tobytes()
+        assert regimes._transition_weights(kind, z, gamma, c).tobytes() == expected.tobytes()
+
     def test_gamma_must_be_positive(self):
         with pytest.raises(ValueError):
             logistic_transition(0.0, 0.0, 0.0)
@@ -227,6 +247,17 @@ class TestFitLstar:
         assert m.thresholds[0] < m.thresholds[1]
         assert m.n_parameters == 10
 
+    def test_infeasible_transition_is_named(self):
+        # a lagged value near 0.015: gamma (z - c)^2 stays small, so each
+        # exponential block is close to a cubic in z, and the second one is
+        # nearly collinear with the base and the first
+        x = simulate(make_regime_model("ar", [[0.002, 0.85]]), 150, 0.002, seed=3)
+        tv = ThresholdVariable(LAGGED_VALUE, 1)
+        grid = GammaGrid(points=10)
+        fit_lstar(x, 1, 1, tv, gamma_grid=grid, transition="exponential", refine=False)
+        with pytest.raises(NoFeasibleThreshold, match="^transition 2: "):
+            fit_lstar(x, 1, 2, tv, gamma_grid=grid, transition="exponential", refine=False)
+
     def test_exact_gamma_grid_values(self):
         grid = GammaGrid(lo=1.0, hi=2.0, step=0.25)
         assert grid.values().tolist() == [1.0, 1.25, 1.5, 1.75, 2.0]
@@ -258,6 +289,45 @@ def _grid_inputs(x, tv):
 
 def _weights(kind, z, gamma, c):
     return TransitionSpec(kind, gamma, c).weights(z)
+
+
+def _chunked_grid(base, block, y, z, gammas, c_values, kind):
+    """The (gamma, c) grid scored the direct way: each candidate's weights
+    evaluated on z, gathered ``_GRID_CHUNK`` candidates at a time, one
+    (chunk, rows) product per Gram block, and ``regimes._screened_rss``."""
+    rows, kb = base.shape
+    ka = block.shape[1]
+    k = kb + ka
+    btb, bty, yy = base.T @ base, base.T @ y, float(y @ y)
+    cross = (base[:, :, None] * block[:, None, :]).reshape(rows, kb * ka)
+    tri = np.triu_indices(ka)
+    auto = (block[:, :, None] * block[:, None, :])[:, tri[0], tri[1]]
+    block_y = block * y[:, None]
+    n_c = len(c_values)
+
+    def score(start, stop):
+        candidates = np.arange(start, stop)
+        g_par, c_par = gammas[candidates // n_c, None], c_values[candidates % n_c, None]
+        weights = regimes._transition_weights(kind, z[None, :], g_par, c_par)
+        squares = weights * weights
+        m = len(candidates)
+        gram = np.empty((m, k, k))
+        gram[:, :kb, :kb] = btb
+        upper = (weights @ cross).reshape(m, kb, ka)
+        gram[:, :kb, kb:] = upper
+        gram[:, kb:, :kb] = upper.transpose(0, 2, 1)
+        lower_entries = squares @ auto
+        lower = np.zeros((m, ka, ka))
+        lower[:, tri[0], tri[1]] = lower_entries
+        lower[:, tri[1], tri[0]] = lower_entries
+        gram[:, kb:, kb:] = lower
+        rhs = np.empty((m, k))
+        rhs[:, :kb] = bty
+        rhs[:, kb:] = weights @ block_y
+        return regimes._screened_rss(gram, rhs, yy)
+
+    best, rss = regimes._first_min(len(gammas) * n_c, score)
+    return float(gammas[best // n_c]), float(c_values[best % n_c]), rss
 
 
 class TestProfiledGridOracle:
@@ -417,7 +487,7 @@ class TestTimeThresholdGrid:
 
         def recording(*args):
             assert args[-1] is True  # fit_lstar takes the shifted path on time
-            out = computed(*args[:-1], shifted)
+            out = computed(*args) if shifted else _chunked_grid(*args[:-1])
             results.append((out, len(args[4]) * len(args[5])))
             return out
 
@@ -443,6 +513,69 @@ class TestTimeThresholdGrid:
         if n == 300:
             # the first grid spans more than one chunk
             assert shifted[0][1] > regimes._GRID_CHUNK
+
+
+class TestTiledGrid:
+    """The lagged-value grid's tiles against the directly scored grid."""
+
+    @staticmethod
+    def grid_calls(monkeypatch, x, kind):
+        calls = []
+        computed = regimes._profiled_grid
+
+        def recording(*args):
+            calls.append(computed(*args))
+            return calls[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(regimes, "_profiled_grid", recording)
+            fit_lstar(
+                x, 1, 2, ThresholdVariable(LAGGED_VALUE, 1),
+                gamma_grid=GammaGrid(points=40), transition=kind, refine=False,
+            )
+        return calls
+
+    @pytest.mark.parametrize("kind", ["logistic", "exponential"])
+    def test_grid_does_not_depend_on_chunk_size(
+        self, monkeypatch, lstar_lagged_generator, kind
+    ):
+        # 50-candidate tiles fall under BLAS's small-matrix kernel, whose
+        # bits depend on where a tile starts; neither grid ends on a tile
+        # boundary, so each last tile reaches back
+        x = simulate(lstar_lagged_generator, 300, 0.1, seed=21)
+        monkeypatch.setattr(regimes, "_TILE_BYTES", 8 * 299 * 50)
+        default = self.grid_calls(monkeypatch, x, kind)
+        assert len(default) == 2
+        for chunk in (7, 64, 1000):
+            monkeypatch.setattr(regimes, "_GRID_CHUNK", chunk)
+            assert self.grid_calls(monkeypatch, x, kind) == default
+
+    @pytest.mark.parametrize("tile_bytes", [8 * 149 * 37, None])
+    @pytest.mark.parametrize("kind", ["logistic", "exponential"])
+    @pytest.mark.parametrize("second", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_chunked_reference(
+        self, monkeypatch, lstar_lagged_generator, seed, second, kind, tile_bytes
+    ):
+        x = simulate(lstar_lagged_generator, 150, 0.1, seed=seed)
+        design, y, z, c_values = _grid_inputs(x, ThresholdVariable(LAGGED_VALUE, 1))
+        gammas = GammaGrid(points=60).values()
+        base = design
+        if second:
+            first = _weights(kind, z, 2.0, c_values[len(c_values) // 3])
+            base = np.hstack([design, first[:, None] * design])
+        if tile_bytes is not None:
+            monkeypatch.setattr(regimes, "_TILE_BYTES", tile_bytes)
+
+        expected = _chunked_grid(base, design, y, z, gammas, c_values, kind)
+        got = regimes._profiled_grid(base, design, y, z, gammas, c_values, kind, False)
+        assert got[:2] == expected[:2]
+        # the bound of TestProfiledGridOracle: normal equations carry an RSS
+        # error of about eps * cond^2 * y'y
+        winner = np.hstack([base, _weights(kind, z, got[0], got[1])[:, None] * design])
+        sv = np.linalg.svd(winner, compute_uv=False)
+        tolerance = 1e-9 + np.finfo(float).eps * (sv[0] / sv[-1]) ** 2 * (y @ y) / expected[2]
+        assert got[2] == pytest.approx(expected[2], rel=tolerance)
 
 
 class TestSharedScan:
