@@ -54,7 +54,14 @@ def _threshold_vector(threshold, n: int, rows: int, ar_order: int) -> np.ndarray
     raise ValueError(f"threshold vector must have length {n} or {rows}, got {z.shape}")
 
 
+def check_significance(significance: float) -> None:
+    """Reject a test level outside (0, 0.5]; NaN is outside too."""
+    if not 0 < significance <= 0.5:
+        raise ValueError(f"significance must be in (0, 0.5], got {significance}")
+
+
 def _run_test(series, ar_order: int, significance: float, threshold, variant: str) -> LinearityTestReport:
+    check_significance(significance)
     x = series_values(series)
     n = len(x)
     if n <= ar_order + 4:

@@ -296,6 +296,10 @@ def train_nnet_ar(series, m: int, d: int, config: TrainConfig | None = None) -> 
     the restart with the lowest final RSS wins (index breaks ties).  Restarts
     whose loss turns non-finite are dropped; if all fail, NonFiniteLoss.
     """
+    if m < 1:
+        raise ValueError(f"m, the number of lagged inputs, must be at least 1, got {m}")
+    if d < 1:
+        raise ValueError(f"d, the number of hidden units, must be at least 1, got {d}")
     cfg = config or TrainConfig()
     x = series_values(series)
     if cfg.standardize:

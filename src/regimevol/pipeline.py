@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 from . import dataio
 from .errors import PipelineError, RegimevolError
-from .linearity import terasvirta_first_order, terasvirta_zero_order
+from .linearity import check_significance, terasvirta_first_order, terasvirta_zero_order
 from .neural import TrainConfig, train_nnet_ar
 from .regimes import (
     GammaGrid,
@@ -119,8 +119,7 @@ class PipelineConfig:
     def __post_init__(self):
         if self.volatility_window < 2:
             raise ValueError("volatility window must be >= 2")
-        if not 0 < self.significance <= 0.5:
-            raise ValueError("significance must be in (0, 0.5]")
+        check_significance(self.significance)
         if (self.break_date is None) == (self.break_index is None):
             raise ValueError("provide exactly one of break_date / break_index")
         self.models = [

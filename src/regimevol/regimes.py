@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     ExplosivePath,
@@ -459,6 +458,8 @@ def _grid_setup(series, order: int, tv: ThresholdVariable, min_fraction, n_regim
     for 2 regimes and 0.10 for 3)."""
     if min_fraction is None:
         min_fraction = 0.15 if n_regimes == 2 else 0.10
+    elif not 0 <= min_fraction < np.inf:
+        raise ValueError(f"min_fraction must be finite and non-negative, got {min_fraction}")
     x = series_values(series)
     design, y = lag_design(x, order)
     rows = len(y)
@@ -608,25 +609,25 @@ def _profiled_grid(base, block, y, z, gammas, c_values, kind, time_threshold):
     the winner; candidates whose design is rank deficient are skipped.
     Candidates are scanned gamma-major, c-minor, and ties keep the first.
 
-    ``time_threshold`` requires z to be consecutive integers and every c one
-    of them.  Then G at row i depends on z[i] - c alone, so each chunk
-    evaluates the transition of each of its gammas once on the lags
-    -(rows-1)..rows-1, and every c takes its window of it.  The lags are the
-    same floats as z - c, so the weights, and everything after them, are
+    Candidates are scored ``tile`` at a time, in scan order, in place in two
+    (tile, rows) buffers made once per grid, of at least ``_TILE_BYTES``
+    each, so memory grows linearly in rows.  A lagged-value threshold
+    evaluates each candidate's transition on z.  A time threshold requires z
+    to be consecutive integers and every c one of them: G at row i then
+    depends on z[i] - c alone, so each tile evaluates the transition of its
+    gammas once on the lags -(rows-1)..rows-1 and copies each candidate's
+    window of it.  The lags are the same floats as z - c, so the weights are
     bit-identical to evaluating each candidate.
 
-    A lagged-value threshold evaluates each candidate's transition, ``tile``
-    candidates at a time in scan order, in place in two (tile, rows) buffers
-    made once per grid, of at least ``_TILE_BYTES`` each, so memory grows
-    linearly in rows.  Every product (w @ cross, w @ block*y, w*w @ auto)
-    has ``tile`` rows: chunks hold whole tiles, and the grid's short last
-    tile reaches back over candidates already scored.  So each product stays
-    above the 1e6 multiply-adds under which OpenBLAS switches to a
-    small-matrix kernel.  Its blocked kernel gives a row the same bits
-    whatever the row count, so the RSS is bit-identical to one product per
-    ``_GRID_CHUNK`` chunk; with 1 MiB tiles the small kernel moved it in the
-    last bits, and the winner with it where candidates tie to roundoff, as on
-    a random walk's plateau of steep gammas.
+    Every product (w @ cross, w @ block*y, w*w @ auto) has ``tile`` rows:
+    chunks hold whole tiles, and the grid's short last tile reaches back
+    over candidates already scored.  So each product stays above the 1e6
+    multiply-adds under which OpenBLAS switches to a small-matrix kernel.
+    Its blocked kernel gives a row the same bits whatever the row count, so
+    the RSS does not depend on the tile or chunk size; with 1 MiB tiles the
+    small kernel moved it in the last bits, and the winner with it where
+    candidates tie to roundoff, as on a random walk's plateau of steep
+    gammas.
     """
     rows, kb = base.shape
     ka = block.shape[1]
@@ -640,89 +641,59 @@ def _profiled_grid(base, block, y, z, gammas, c_values, kind, time_threshold):
     block_y = block * y[:, None]
 
     n_c = len(c_values)
-    if not time_threshold:
-        n_candidates = len(gammas) * n_c
-        tile = min(n_candidates, -(-_TILE_BYTES // (8 * rows)))
-        weights, squares = np.empty((tile, rows)), np.empty((tile, rows))
-        tile_upper = np.empty((tile, kb * ka))
-        tile_lower = np.empty((tile, auto.shape[1]))
-        tile_rhs = np.empty((tile, ka))
+    n_candidates = len(gammas) * n_c
+    tile = min(n_candidates, -(-_TILE_BYTES // (8 * rows)))
+    weights, squares = np.empty((tile, rows)), np.empty((tile, rows))
+    tile_upper = np.empty((tile, kb * ka))
+    tile_lower = np.empty((tile, auto.shape[1]))
+    tile_rhs = np.empty((tile, ka))
+    if time_threshold:
+        lags = np.arange(-(rows - 1), rows, dtype=float)
+        # window start in ``lags`` for each c: lags[start + i] == z[i] - c
+        window_start = (z[0] - c_values).astype(np.intp) + (rows - 1)
 
-        def tiled(start, stop):
-            m = stop - start
-            upper = np.empty((m, kb * ka))
-            lower = np.empty((m, auto.shape[1]))
-            rhs_tail = np.empty((m, ka))
-            for lo in range(start, stop, tile):
-                hi = min(lo + tile, stop)
-                # the grid's short last tile reaches back over scored rows
-                first = max(0, hi - tile)
-                picks = np.arange(first, hi)
-                w = _transition_weights(
-                    kind, z, gammas[picks // n_c, None], c_values[picks % n_c, None], weights
-                )
-                np.matmul(w, cross, out=tile_upper)
-                np.matmul(w, block_y, out=tile_rhs)
-                np.matmul(np.multiply(w, w, out=squares), auto, out=tile_lower)
-                upper[lo - start : hi - start] = tile_upper[lo - first :]
-                lower[lo - start : hi - start] = tile_lower[lo - first :]
-                rhs_tail[lo - start : hi - start] = tile_rhs[lo - first :]
-            gram = np.empty((m, k, k))
-            gram[:, :kb, :kb] = btb
-            upper = upper.reshape(m, kb, ka)
-            gram[:, :kb, kb:] = upper
-            gram[:, kb:, :kb] = upper.transpose(0, 2, 1)
-            gram[:, kb + tri[0], kb + tri[1]] = lower
-            gram[:, kb + tri[1], kb + tri[0]] = lower
-            rhs = np.empty((m, k))
-            rhs[:, :kb] = bty
-            rhs[:, kb:] = rhs_tail
-            return _screened_rss(gram, rhs, yy)
-
-        best, rss = _first_min(n_candidates, tiled, tile * max(1, _GRID_CHUNK // tile))
-        return float(gammas[best // n_c]), float(c_values[best % n_c]), rss
-
-    lags = np.arange(-(rows - 1), rows, dtype=float)
-    # window start in ``lags`` for each c: lags[start + i] == z[i] - c
-    window_start = (z[0] - c_values).astype(np.intp) + (rows - 1)
-
-    # each chunk's Gram and right-hand side live until the next chunk has
-    # built its (chunk, rows) arrays; freeing all at once let malloc return
-    # that block to the OS, and faulting it back made the chunks ~10% slower
-    # (the lagged-value grid keeps its buffers for the whole grid instead)
-    previous = []
-
-    def score(start, stop):
-        candidates = np.arange(start, stop)
-        pick_g, pick_c = candidates // n_c, candidates % n_c
-        g_first = start // n_c
+    def fill(picks):
+        pick_g, pick_c = picks // n_c, picks % n_c
+        if not time_threshold:
+            return _transition_weights(
+                kind, z, gammas[pick_g, None], c_values[pick_c, None], weights
+            )
+        g_first = pick_g[0]
         g_span = gammas[g_first : pick_g[-1] + 1, None]
         table = _transition_weights(kind, lags[None, :], g_span, 0.0)
-        windows = (pick_g - g_first, window_start[pick_c])
-        weights = sliding_window_view(table, rows, axis=1)[windows]
-        squares = sliding_window_view(table * table, rows, axis=1)[windows]
-        m = weights.shape[0]
+        for row, g, start in zip(weights, pick_g - g_first, window_start[pick_c]):
+            row[:] = table[g, start : start + rows]
+        return weights
 
+    def tiled(start, stop):
+        m = stop - start
+        upper = np.empty((m, kb * ka))
+        lower = np.empty((m, auto.shape[1]))
+        rhs_tail = np.empty((m, ka))
+        for lo in range(start, stop, tile):
+            hi = min(lo + tile, stop)
+            # the grid's short last tile reaches back over scored rows
+            first = max(0, hi - tile)
+            w = fill(np.arange(first, hi))
+            np.matmul(w, cross, out=tile_upper)
+            np.matmul(w, block_y, out=tile_rhs)
+            np.matmul(np.multiply(w, w, out=squares), auto, out=tile_lower)
+            upper[lo - start : hi - start] = tile_upper[lo - first :]
+            lower[lo - start : hi - start] = tile_lower[lo - first :]
+            rhs_tail[lo - start : hi - start] = tile_rhs[lo - first :]
         gram = np.empty((m, k, k))
         gram[:, :kb, :kb] = btb
-        upper = (weights @ cross).reshape(m, kb, ka)
+        upper = upper.reshape(m, kb, ka)
         gram[:, :kb, kb:] = upper
         gram[:, kb:, :kb] = upper.transpose(0, 2, 1)
-        lower_entries = squares @ auto
-        lower = np.zeros((m, ka, ka))
-        lower[:, tri[0], tri[1]] = lower_entries
-        lower[:, tri[1], tri[0]] = lower_entries
-        gram[:, kb:, kb:] = lower
-
+        gram[:, kb + tri[0], kb + tri[1]] = lower
+        gram[:, kb + tri[1], kb + tri[0]] = lower
         rhs = np.empty((m, k))
         rhs[:, :kb] = bty
-        rhs[:, kb:] = weights @ block_y
-        # freed before the solve, so its work arrays do not add to the peak
-        del weights, squares
-        previous[:] = gram, rhs
+        rhs[:, kb:] = rhs_tail
         return _screened_rss(gram, rhs, yy)
 
-    best, rss = _first_min(len(gammas) * n_c, score)
+    best, rss = _first_min(n_candidates, tiled, tile * max(1, _GRID_CHUNK // tile))
     return float(gammas[best // n_c]), float(c_values[best % n_c]), rss
 
 

@@ -327,6 +327,25 @@ class TestCliCommands:
                 "fit", "restarts", id="fit-nnet-zero-restarts",
             ),
             pytest.param(
+                ["fit", "nnet", "{tmp}/series.csv", "--hidden", "0",
+                 "--output-dir", "{tmp}/out"],
+                "fit", "hidden units", id="fit-nnet-no-hidden-units",
+            ),
+            pytest.param(
+                ["fit", "nnet", "{tmp}/series.csv", "--order", "0",
+                 "--output-dir", "{tmp}/out"],
+                "fit", "lagged inputs", id="fit-nnet-no-inputs",
+            ),
+            pytest.param(
+                ["test-linearity", "{tmp}/series.csv", "--significance", "7"],
+                "test-linearity", "significance", id="test-linearity-significance-7",
+            ),
+            pytest.param(
+                ["fit", "setar", "{tmp}/series.csv", "--min-fraction", "nan",
+                 "--output-dir", "{tmp}/out"],
+                "fit", "min_fraction", id="fit-setar-nan-min-fraction",
+            ),
+            pytest.param(
                 ["compare", "{tmp}/series.csv", "--model", "ar:order=1",
                  "--model", "nnet:standardize=maybe", "--output-dir", "{tmp}/out"],
                 "compare", "standardize", id="compare-standardize-not-a-flag",

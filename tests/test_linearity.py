@@ -52,6 +52,12 @@ class TestStructure:
         with pytest.raises(SeriesTooShort):
             terasvirta_zero_order(np.arange(5.0), 1)
 
+    @pytest.mark.parametrize("significance", [0.0, 0.7, 7.0, float("nan")])
+    @pytest.mark.parametrize("test", [terasvirta_zero_order, terasvirta_first_order])
+    def test_significance_outside_run_range_is_rejected(self, ar_series, test, significance):
+        with pytest.raises(ValueError, match="significance"):
+            test(ar_series, 1, significance)
+
     def test_verdict_consistency(self, ar_series):
         rep = terasvirta_first_order(ar_series, 1)
         if rep.nonlinear_terms_f.p_value >= rep.significance:

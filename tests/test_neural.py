@@ -130,6 +130,13 @@ class TestTraining:
         res = train_nnet_ar(np.full(80, 0.37), 1, 2, TrainConfig(restarts=3, seed=0))
         assert res.rss < 1e-10
 
+    @pytest.mark.parametrize(
+        "m, d, fragment", [(0, 2, "m, the number of lagged inputs"), (1, 0, "d, the number of hidden units")]
+    )
+    def test_network_needs_an_input_and_a_hidden_unit(self, m, d, fragment):
+        with pytest.raises(ValueError, match=fragment):
+            train_nnet_ar(np.linspace(0.0, 1.0, 80), m, d, TrainConfig(restarts=1))
+
     def test_close_to_linear_fit_on_ar_data(self):
         from regimevol import fit_ar
 
