@@ -301,6 +301,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"ERROR stage={args.command}: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        # e.g. a --gamma-step so fine that the grid cannot be allocated
+        print(f"ERROR stage={args.command}: out of memory: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

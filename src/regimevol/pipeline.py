@@ -64,6 +64,13 @@ class ModelRequest:
             raise ValueError(f"unknown model kind {self.kind!r}")
         if self.threshold not in (TIME, LAGGED_VALUE):
             raise ValueError(f"unknown threshold variable {self.threshold!r}")
+        if self.kind in ("lstar", "estar"):
+            self.gamma_grid()  # a malformed grid fails here, before any stage runs
+
+    def gamma_grid(self) -> GammaGrid:
+        return GammaGrid(
+            lo=self.gamma_lo, hi=self.gamma_hi, step=self.gamma_step, points=self.gamma_points
+        )
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ModelRequest":
@@ -239,18 +246,12 @@ def _fit_model(request: ModelRequest, series, seed: int):
             min_fraction=request.min_fraction,
         )
     if request.kind in ("lstar", "estar"):
-        grid = GammaGrid(
-            lo=request.gamma_lo,
-            hi=request.gamma_hi,
-            step=request.gamma_step,
-            points=request.gamma_points,
-        )
         return fit_lstar(
             series,
             request.order,
             n_transitions=request.transitions,
             threshold_variable=tv,
-            gamma_grid=grid,
+            gamma_grid=request.gamma_grid(),
             min_fraction=request.min_fraction,
             transition="logistic" if request.kind == "lstar" else "exponential",
         )

@@ -38,6 +38,7 @@ EXPONENTIAL = "exponential"
 
 _EXPLOSION_LIMIT = 1e8
 _EIG_RATIO = 1e-12
+_CERTIFY_RATIO = 100 * _EIG_RATIO
 _GRID_CHUNK = 8192
 _TILE_BYTES = 1 << 22
 
@@ -413,15 +414,60 @@ def _prefix_stats(design: np.ndarray, y: np.ndarray):
     return sxx, sxy, syy
 
 
+def _certified_well_conditioned(gram: np.ndarray) -> np.ndarray:
+    """Which stacked Gram matrices surely pass the ``_EIG_RATIO`` rank screen.
+
+    One Cholesky of A = G - s I runs across the whole stack, a column per
+    step, with s = tau trace(G) and tau = ``_CERTIFY_RATIO``.  Like eigvalsh,
+    it reads only the lower triangle of G.  A matrix is certified when s is
+    a normal float and every pivot is positive and finite.
+
+    Such a Cholesky is exact for some A + dA with
+    ||dA||_2 <= gamma_{k+1} trace(A) and gamma_{k+1} = (k+1)u / (1 - (k+1)u)
+    (Higham, Accuracy and Stability of Numerical Algorithms, Thm 10.3, with
+    |R'||R| bounded through Cauchy-Schwarz).  A + dA is positive definite,
+    so lambda_min(G) >= s - gamma_{k+1} trace(G) > 0.  Then
+    lambda_max(G) <= trace(G), and lambda_min / lambda_max >= tau - O((k+1)u),
+    about 100 times ``_EIG_RATIO``.  eigvalsh is backward stable, with error
+    p(k) u ||G|| for a modest p(k), so its ratio cannot fall below
+    ``_EIG_RATIO`` on a certified matrix.  A False here decides nothing: the
+    caller asks eigvalsh.  Underflow is kept out by requiring s to be normal;
+    overflow and NaN leave a pivot that is not positive and finite.
+    """
+    k = gram.shape[-1]
+    # (row, column, candidate) layout: each step is a few whole-stack vector ops
+    a = gram.transpose(1, 2, 0).copy()
+    diagonal = np.arange(k)
+    with np.errstate(all="ignore"):
+        shift = _CERTIFY_RATIO * np.trace(a)
+        certified = shift >= np.finfo(float).tiny
+        a[diagonal, diagonal] -= shift
+        for j in range(k):
+            pivot = a[j, j]
+            certified &= (pivot > 0) & (pivot < np.inf)
+            column = a[j + 1 :, j] / np.sqrt(pivot)
+            # row by row, lower triangle only: no (k, k, candidates) temporary
+            for i in range(j + 1, k):
+                a[i, j + 1 : i + 1] -= column[i - j - 1] * column[: i - j]
+    return certified
+
+
 def _screened_rss(gram: np.ndarray, rhs: np.ndarray, yy, feasible=True) -> np.ndarray:
     """RSS of each stacked normal-equation system ``gram @ beta = rhs``.
 
     A candidate is scored when ``feasible`` allows it and its Gram matrix
-    passes the rank screen (eigenvalue ratio above ``_EIG_RATIO``); every
-    other entry is inf.  ``yy`` is y'y, per candidate or shared.
+    passes the rank screen (eigvalsh eigenvalue ratio above ``_EIG_RATIO``);
+    every other entry is inf.  ``yy`` is y'y, per candidate or shared.  The
+    batched Cholesky of ``_certified_well_conditioned`` passes most Grams at
+    a fraction of eigvalsh's cost, and eigvalsh decides only the rest, so the
+    screen passes exactly the Grams an eigvalsh of each would.
     """
-    eigs = np.linalg.eigvalsh(gram)
-    feasible = feasible & (eigs[:, 0] > eigs[:, -1] * _EIG_RATIO) & (eigs[:, -1] > 0)
+    passed = _certified_well_conditioned(gram)
+    doubtful = ~passed
+    if np.any(doubtful):
+        eigs = np.linalg.eigvalsh(gram[doubtful])
+        passed[doubtful] = (eigs[:, 0] > eigs[:, -1] * _EIG_RATIO) & (eigs[:, -1] > 0)
+    feasible = feasible & passed
     rss = np.full(len(gram), np.inf)
     if np.any(feasible):
         beta = np.linalg.solve(gram[feasible], rhs[feasible][..., None])[..., 0]
@@ -589,10 +635,16 @@ class GammaGrid:
     points: int = 200
 
     def __post_init__(self):
+        for name in ("lo", "hi", "step"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise ValueError(f"gamma grid {name} must be finite, got {value}")
         if self.lo <= 0 or self.hi <= self.lo:
             raise ValueError("need 0 < lo < hi")
         if self.step is not None and self.step <= 0:
             raise ValueError("step must be positive")
+        if self.points < 1:
+            raise ValueError(f"gamma grid points must be at least 1, got {self.points}")
 
     def values(self) -> np.ndarray:
         if self.step is not None:

@@ -350,6 +350,42 @@ class TestCliCommands:
                  "--model", "nnet:standardize=maybe", "--output-dir", "{tmp}/out"],
                 "compare", "standardize", id="compare-standardize-not-a-flag",
             ),
+            pytest.param(
+                ["fit", "lstar", "{tmp}/series.csv", "--gamma-points", "0",
+                 "--output-dir", "{tmp}/out"],
+                "fit", "gamma grid points", id="fit-lstar-zero-gamma-points",
+            ),
+            pytest.param(
+                ["fit", "lstar", "{tmp}/series.csv", "--gamma-lo", "nan",
+                 "--output-dir", "{tmp}/out"],
+                "fit", "gamma grid lo", id="fit-lstar-nan-gamma-lo",
+            ),
+            pytest.param(
+                ["fit", "estar", "{tmp}/series.csv", "--gamma-hi", "inf",
+                 "--output-dir", "{tmp}/out"],
+                "fit", "gamma grid hi", id="fit-estar-inf-gamma-hi",
+            ),
+            pytest.param(
+                ["fit", "lstar", "{tmp}/series.csv", "--gamma-step", "nan",
+                 "--output-dir", "{tmp}/out"],
+                "fit", "gamma grid step", id="fit-lstar-nan-gamma-step",
+            ),
+            pytest.param(
+                ["run", "--config", "{tmp}/zero-gamma-points.json"],
+                "config", "gamma grid points", id="config-lstar-zero-gamma-points",
+            ),
+            pytest.param(
+                ["compare", "{tmp}/series.csv", "--model", "ar:order=1",
+                 "--model", "lstar:gamma_lo=nan", "--output-dir", "{tmp}/out"],
+                "compare", "gamma grid lo", id="compare-lstar-nan-gamma-lo",
+            ),
+            # a 1e-13 step asks for about 2e15 gammas; the allocation fails
+            # at once, before any memory is used
+            pytest.param(
+                ["fit", "lstar", "{tmp}/series.csv", "--gamma-step", "1e-13",
+                 "--output-dir", "{tmp}/out"],
+                "fit", "out of memory", id="fit-lstar-grid-too-large",
+            ),
         ],
     )
     def test_malformed_input_is_one_error_line(
@@ -378,6 +414,9 @@ class TestCliCommands:
         )
         (tmp_path / "string-order.json").write_text(
             json.dumps({**config, "models": [{"kind": "ar", "order": "1"}]})
+        )
+        (tmp_path / "zero-gamma-points.json").write_text(
+            json.dumps({**config, "models": [{"kind": "lstar", "gamma_points": 0}]})
         )
         values = [f"{i},{0.01 + 0.001 * (i % 7)}" for i in range(1, 61)]
         (tmp_path / "series.csv").write_text("\n".join(["index,value"] + values) + "\n")

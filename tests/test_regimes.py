@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from regimevol import (
@@ -402,7 +402,7 @@ class TestSetarGridOracle:
     """The 2- and 3-regime threshold grid against a per-candidate ``ols_fit`` loop."""
 
     @staticmethod
-    def oracle(x, n_regimes, tv):
+    def oracle(x, order, n_regimes, tv):
         """Lowest total RSS over the candidate splits, its thresholds, and the
         largest condition number among the segments scored.
 
@@ -412,12 +412,12 @@ class TestSetarGridOracle:
         grid's rank rule (Gram eigenvalue ratio above 1e-12).  Pairs are
         scanned first cut major, and ties keep the first.
         """
-        design, y = lag_design(x, 1)
-        z = regimes._threshold_row_values(tv, x, 1)
-        order = np.argsort(z, kind="stable")
-        design, y, z_sorted = design[order], y[order], z[order]
+        design, y = lag_design(x, order)
+        z = regimes._threshold_row_values(tv, x, order)
+        sort_idx = np.argsort(z, kind="stable")
+        design, y, z_sorted = design[sort_idx], y[sort_idx], z[sort_idx]
         rows = len(y)
-        min_count = regimes._min_count(rows, 0.15 if n_regimes == 2 else 0.10, 1)
+        min_count = regimes._min_count(rows, 0.15 if n_regimes == 2 else 0.10, order)
         positions = [int(p) for p in regimes._split_positions(z_sorted, min_count)]
         segments = {}
 
@@ -455,8 +455,11 @@ class TestSetarGridOracle:
         n=st.integers(30, 80),
         tv_kind=st.sampled_from([TIME, LAGGED_VALUE]),
         n_regimes=st.sampled_from([2, 3]),
+        order=st.sampled_from([0, 1, 2]),
     )
-    def test_grid_winner_matches_oracle(self, seed, n, tv_kind, n_regimes):
+    def test_grid_winner_matches_oracle(self, seed, n, tv_kind, n_regimes, order):
+        # k = order + 1 coefficients per regime; a lagged threshold needs a lag
+        assume(order > 0 or tv_kind == TIME)
         rng = np.random.default_rng(seed)
         noise = rng.normal(size=n)
         x = np.empty(n)
@@ -465,13 +468,13 @@ class TestSetarGridOracle:
             x[t] = (0.5 if x[t - 1] < 0 else -0.3) * x[t - 1] + noise[t]
         tv = ThresholdVariable(tv_kind, 1)
 
-        expected, thresholds, cond = self.oracle(x, n_regimes, tv)
+        expected, thresholds, cond = self.oracle(x, order, n_regimes, tv)
         if thresholds is None:
             with pytest.raises(NoFeasibleThreshold):
-                fit_setar(x, 1, n_regimes, tv)
+                fit_setar(x, order, n_regimes, tv)
             return
-        model = fit_setar(x, 1, n_regimes, tv)
-        _, y = lag_design(x, 1)
+        model = fit_setar(x, order, n_regimes, tv)
+        _, y = lag_design(x, order)
         assert np.array_equal(model.thresholds, thresholds)
         # the grid scores by normal equations, whose RSS carries an error of
         # about eps * cond^2 * y'y; the model refits its regimes by ols_fit
@@ -602,6 +605,97 @@ class TestTiledGrid:
         # normal equations with their solve (a few MB, about one tile) and
         # inputs of a few columns of 2,000 rows: under four tiles
         assert peak < 4 * regimes._TILE_BYTES
+
+
+def _eigvalsh_screened_rss(gram, rhs, yy, feasible=True):
+    """The grid's screened solve with the rank screen as one eigvalsh per Gram."""
+    eigs = np.linalg.eigvalsh(gram)
+    feasible = feasible & (eigs[:, 0] > eigs[:, -1] * regimes._EIG_RATIO) & (eigs[:, -1] > 0)
+    rss = np.full(len(gram), np.inf)
+    if np.any(feasible):
+        beta = np.linalg.solve(gram[feasible], rhs[feasible][..., None])[..., 0]
+        yy = np.broadcast_to(yy, rss.shape)[feasible]
+        vals = yy - np.einsum("mk,mk->m", rhs[feasible], beta)
+        rss[feasible] = np.where(np.isfinite(vals), np.maximum(vals, 0.0), np.inf)
+    return rss
+
+
+def _adversarial_gram(rng, k, shape):
+    """One k x k Gram of the given shape, scaled by a random power of ten."""
+    if shape == "zero":
+        return np.zeros((k, k))
+    if shape == "singular":
+        x = rng.normal(size=(k - 1, k))  # fewer rows than columns: rank k - 1
+        gram = x.T @ x
+    else:
+        # eigenvalue ratio on either side of _EIG_RATIO or of the certificate's
+        # ratio, or anywhere from 1e-16 to 1
+        anchor = {"eig": regimes._EIG_RATIO, "cert": regimes._CERTIFY_RATIO}.get(shape)
+        if anchor is None:
+            ratio = 10.0 ** rng.uniform(-16, 0)
+        else:
+            ratio = anchor * (1 + rng.choice([-1, 1]) * 10.0 ** rng.uniform(-6, -1))
+        spectrum = np.concatenate([[ratio, 1.0], 10.0 ** rng.uniform(np.log10(ratio), 0, k)])
+        q, _ = np.linalg.qr(rng.normal(size=(k, k)))
+        gram = (q * spectrum[:k]) @ q.T
+        if shape == "scaled":
+            scale = 10.0 ** rng.uniform(-4, 4, k)
+            gram = gram * scale[:, None] * scale[None, :]
+        gram = (gram + gram.T) / 2
+    # now and then near the ends of the float range, where the certificate
+    # must not pass a Gram through underflow or overflow
+    gram = gram * 10.0 ** (rng.uniform(-3, 3) if rng.random() < 0.9 else rng.choice([-300, 300]))
+    if shape == "nonfinite":
+        i, j = rng.integers(0, k, 2)
+        gram[i, j] = rng.choice([np.nan, np.inf, -np.inf])
+    return gram
+
+
+class TestCertifiedScreen:
+    """The batched Cholesky certificate in front of the rank screen."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(1, 8),
+        m=st.integers(1, 24),
+        shapes=st.lists(
+            st.sampled_from(["eig", "cert", "any", "scaled", "singular", "zero", "nonfinite"]),
+            min_size=1, max_size=4,
+        ),
+        masked=st.booleans(),
+    )
+    def test_screen_equals_eigvalsh_reference(self, seed, k, m, shapes, masked):
+        rng = np.random.default_rng(seed)
+        gram = np.stack([_adversarial_gram(rng, k, shapes[i % len(shapes)]) for i in range(m)])
+        rhs = rng.normal(size=(m, k))
+        yy = 10.0 ** rng.uniform(-2, 4, m)
+        feasible = rng.random(m) < 0.7 if masked else True
+        try:
+            expected = _eigvalsh_screened_rss(gram, rhs, yy, feasible)
+        except np.linalg.LinAlgError as exc:
+            with pytest.raises(type(exc)):
+                regimes._screened_rss(gram, rhs, yy, feasible)
+            return
+        assert np.array_equal(regimes._screened_rss(gram, rhs, yy, feasible), expected)
+
+    def test_grids_call_no_eigvalsh_on_a_well_conditioned_series(
+        self, monkeypatch, lstar_lagged_generator
+    ):
+        x = simulate(lstar_lagged_generator, 200, 0.1, seed=3)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            calls.append(len(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        grid = GammaGrid(points=20)
+        fit_setar(x, 1, 3)
+        fit_lstar(x, 1, gamma_grid=grid)
+        fit_lstar(x, 1, threshold_variable=ThresholdVariable(LAGGED_VALUE, 1), gamma_grid=grid)
+        assert calls == []
 
 
 class TestSharedScan:
