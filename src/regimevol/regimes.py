@@ -6,11 +6,15 @@ regime-wise OLS per candidate.  Smooth-transition models are estimated in two
 stages: a (gamma, c) grid where the remaining coefficients solve by OLS,
 followed by a damped Gauss-Newton refinement of all parameters jointly.  Both
 grids score batched normal equations through one chunked first-wins scan, so
-a full search stays fast and its memory bounded.
+a full search stays fast and its memory bounded; the chunks are scored on the
+CPUs that BLAS leaves idle.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -41,6 +45,39 @@ _EIG_RATIO = 1e-12
 _CERTIFY_RATIO = 100 * _EIG_RATIO
 _GRID_CHUNK = 8192
 _TILE_BYTES = 1 << 22
+
+
+def _worker_count(environ, cpus: int) -> int:
+    """Threads to score grid chunks on: the CPUs that BLAS leaves idle.
+
+    OpenBLAS runs ``OPENBLAS_NUM_THREADS`` threads, else ``OMP_NUM_THREADS``,
+    else one per CPU; a value that is not a positive integer counts as unset.
+    Grid threads on top of BLAS threads would only compete for the same CPUs,
+    so an unpinned BLAS leaves one worker, and the result is never above
+    ``cpus``.
+    """
+    blas_threads = cpus
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            value = int(environ.get(name, ""))
+        except ValueError:
+            continue
+        if value > 0:
+            blas_threads = value
+            break
+    return max(1, cpus // blas_threads)
+
+
+_WORKERS = _worker_count(
+    os.environ,
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1,
+)
+# Grid threads run their batched LAPACK calls one at a time.  A batch is
+# thousands of tiny factorizations, and two batches at once in two threads
+# took 2.4 times as long as one after the other (2-vCPU VM, OpenBLAS on one
+# thread).  A 3-regime SETAR grid at ~2,000 rows took 0.47-0.56 s on one
+# thread, 0.62-0.66 s on two without this lock and 0.36-0.53 s with it.
+_LAPACK = threading.Lock()
 
 
 def _masked_logistic(arg: np.ndarray) -> np.ndarray:
@@ -465,15 +502,23 @@ def _screened_rss(gram: np.ndarray, rhs: np.ndarray, yy, feasible=True) -> np.nd
     passed = _certified_well_conditioned(gram)
     doubtful = ~passed
     if np.any(doubtful):
-        eigs = np.linalg.eigvalsh(gram[doubtful])
+        with _LAPACK:
+            eigs = np.linalg.eigvalsh(gram[doubtful])
         passed[doubtful] = (eigs[:, 0] > eigs[:, -1] * _EIG_RATIO) & (eigs[:, -1] > 0)
     feasible = feasible & passed
-    rss = np.full(len(gram), np.inf)
-    if np.any(feasible):
-        beta = np.linalg.solve(gram[feasible], rhs[feasible][..., None])[..., 0]
-        yy = np.broadcast_to(yy, rss.shape)[feasible]
-        vals = yy - np.einsum("mk,mk->m", rhs[feasible], beta)
-        rss[feasible] = np.where(np.isfinite(vals), np.maximum(vals, 0.0), np.inf)
+    every = np.all(feasible)
+    if not every:
+        # usually every candidate passes, and the stack is solved uncopied
+        gram, rhs = gram[feasible], rhs[feasible]
+        yy = np.broadcast_to(yy, feasible.shape)[feasible]
+    with _LAPACK:
+        beta = np.linalg.solve(gram, rhs[..., None])[..., 0]
+    vals = yy - np.einsum("mk,mk->m", rhs, beta)
+    vals = np.where(np.isfinite(vals), np.maximum(vals, 0.0), np.inf)
+    if every:
+        return vals
+    rss = np.full(len(feasible), np.inf)
+    rss[feasible] = vals
     return rss
 
 
@@ -523,21 +568,45 @@ def _grid_setup(series, order: int, tv: ThresholdVariable, min_fraction, n_regim
     return x, design, y, z, sort_idx, z_sorted, positions, min_count
 
 
-def _first_min(n_candidates: int, score, chunk: int | None = None) -> tuple[int, float]:
+def _first_min(
+    n_candidates: int, score, chunk: int | None = None, workers: int | None = None
+) -> tuple[int, float]:
     """Index and value of the lowest score over candidates 0..n_candidates-1.
 
     ``score(start, stop)`` returns the RSS of candidates start..stop-1 (inf
     where infeasible); it is called on chunks of ``chunk`` candidates
-    (default ``_GRID_CHUNK``) in index order, so memory stays bounded, and
-    ties keep the lowest index.
+    (default ``_GRID_CHUNK``), so memory stays bounded, and ties keep the
+    lowest index.
+
+    The chunks are independent, so ``workers`` threads (default
+    ``_WORKERS``) score them side by side: numpy releases the GIL in the
+    products and ``exp``, and ``_screened_rss`` runs its batched LAPACK
+    calls one at a time under ``_LAPACK``.  ``score`` must therefore be safe
+    to call from several threads.  Each chunk's first minimum is reduced in
+    chunk order, so the winner and its RSS are those of a serial scan, to
+    the bit.  With one worker or one chunk the same loop runs through plain
+    ``map``, on the calling thread.  An exception in a chunk is re-raised
+    (the first in chunk order), the chunks still pending are cancelled, and
+    every thread is joined before this returns.
     """
+    workers = workers or _WORKERS
     chunk = chunk or _GRID_CHUNK
-    best, best_rss = None, np.inf
-    for start in range(0, n_candidates, chunk):
+
+    def scan(start):
         rss = score(start, min(start + chunk, n_candidates))
         pick = int(np.argmin(rss))
-        if rss[pick] < best_rss:
-            best, best_rss = start + pick, float(rss[pick])
+        return start + pick, rss[pick]
+
+    starts = range(0, n_candidates, chunk)
+    pool = ThreadPoolExecutor(workers) if workers > 1 and len(starts) > 1 else None
+    best, best_rss = None, np.inf
+    try:
+        for index, rss in (pool.map if pool else map)(scan, starts):
+            if rss < best_rss:
+                best, best_rss = index, float(rss)
+    finally:
+        if pool:
+            pool.shutdown(cancel_futures=True)
     if best is None:
         raise NoFeasibleThreshold("every candidate threshold is rank deficient")
     return best, best_rss
@@ -661,15 +730,22 @@ def _profiled_grid(base, block, y, z, gammas, c_values, kind, time_threshold):
     the winner; candidates whose design is rank deficient are skipped.
     Candidates are scanned gamma-major, c-minor, and ties keep the first.
 
-    Candidates are scored ``tile`` at a time, in scan order, in place in two
-    (tile, rows) buffers made once per grid, of at least ``_TILE_BYTES``
-    each, so memory grows linearly in rows.  A lagged-value threshold
-    evaluates each candidate's transition on z.  A time threshold requires z
-    to be consecutive integers and every c one of them: G at row i then
-    depends on z[i] - c alone, so each tile evaluates the transition of its
-    gammas once on the lags -(rows-1)..rows-1 and copies each candidate's
-    window of it.  The lags are the same floats as z - c, so the weights are
+    Candidates are scored ``tile`` at a time, in place in a (tile, rows)
+    buffer of at least ``_TILE_BYTES``, so memory grows linearly in rows.
+    The buffer holds a tile's weights w for the w @ cross and w @ block*y
+    products, and is then squared in place for the (w*w) @ auto product;
+    the next tile refills it.  A lagged-value threshold evaluates each
+    candidate's transition on z.  A time threshold requires z to be
+    consecutive integers and every c one of them: G at row i then depends
+    on z[i] - c alone, so each tile evaluates the transition of its gammas
+    once on the lags -(rows-1)..rows-1 and copies each candidate's window
+    of it.  The lags are the same floats as z - c, so the weights are
     bit-identical to evaluating each candidate.
+
+    ``_first_min`` scores chunks of whole tiles on up to two worker threads.
+    Each thread makes its own tile buffers, once per grid, through
+    ``threading.local``, and a chunk is sized so that the workers together
+    hold about ``_GRID_CHUNK`` candidates at a time.
 
     Every product (w @ cross, w @ block*y, w*w @ auto) has ``tile`` rows:
     chunks hold whole tiles, and the grid's short last tile reaches back
@@ -695,16 +771,13 @@ def _profiled_grid(base, block, y, z, gammas, c_values, kind, time_threshold):
     n_c = len(c_values)
     n_candidates = len(gammas) * n_c
     tile = min(n_candidates, -(-_TILE_BYTES // (8 * rows)))
-    weights, squares = np.empty((tile, rows)), np.empty((tile, rows))
-    tile_upper = np.empty((tile, kb * ka))
-    tile_lower = np.empty((tile, auto.shape[1]))
-    tile_rhs = np.empty((tile, ka))
+    per_thread = threading.local()
     if time_threshold:
         lags = np.arange(-(rows - 1), rows, dtype=float)
         # window start in ``lags`` for each c: lags[start + i] == z[i] - c
         window_start = (z[0] - c_values).astype(np.intp) + (rows - 1)
 
-    def fill(picks):
+    def fill(picks, weights):
         pick_g, pick_c = picks // n_c, picks % n_c
         if not time_threshold:
             return _transition_weights(
@@ -718,6 +791,14 @@ def _profiled_grid(base, block, y, z, gammas, c_values, kind, time_threshold):
         return weights
 
     def tiled(start, stop):
+        if not hasattr(per_thread, "buffers"):
+            per_thread.buffers = (
+                np.empty((tile, rows)),
+                np.empty((tile, kb * ka)),
+                np.empty((tile, auto.shape[1])),
+                np.empty((tile, ka)),
+            )
+        weights, tile_upper, tile_lower, tile_rhs = per_thread.buffers
         m = stop - start
         upper = np.empty((m, kb * ka))
         lower = np.empty((m, auto.shape[1]))
@@ -726,10 +807,10 @@ def _profiled_grid(base, block, y, z, gammas, c_values, kind, time_threshold):
             hi = min(lo + tile, stop)
             # the grid's short last tile reaches back over scored rows
             first = max(0, hi - tile)
-            w = fill(np.arange(first, hi))
+            w = fill(np.arange(first, hi), weights)
             np.matmul(w, cross, out=tile_upper)
             np.matmul(w, block_y, out=tile_rhs)
-            np.matmul(np.multiply(w, w, out=squares), auto, out=tile_lower)
+            np.matmul(np.multiply(w, w, out=w), auto, out=tile_lower)
             upper[lo - start : hi - start] = tile_upper[lo - first :]
             lower[lo - start : hi - start] = tile_lower[lo - first :]
             rhs_tail[lo - start : hi - start] = tile_rhs[lo - first :]
@@ -745,7 +826,11 @@ def _profiled_grid(base, block, y, z, gammas, c_values, kind, time_threshold):
         rhs[:, kb:] = rhs_tail
         return _screened_rss(gram, rhs, yy)
 
-    best, rss = _first_min(n_candidates, tiled, tile * max(1, _GRID_CHUNK // tile))
+    # each thread holds a (tile, rows) buffer: two threads at most keep the
+    # grid within two of them, and its peak memory the same on any machine
+    workers = min(_WORKERS, 2)
+    chunk = tile * max(1, _GRID_CHUNK // (workers * tile))
+    best, rss = _first_min(n_candidates, tiled, chunk, workers)
     return float(gammas[best // n_c]), float(c_values[best % n_c]), rss
 
 
@@ -901,8 +986,8 @@ def simulate(
     """
     if length < 1:
         raise ValueError("length must be positive")
-    if noise_sd < 0:
-        raise ValueError("noise_sd must be non-negative")
+    if not 0 <= noise_sd < np.inf:
+        raise ValueError(f"noise_sd must be finite and non-negative, got {noise_sd}")
     if burn_in < 0:
         raise ValueError("burn_in must be non-negative")
     rng = np.random.default_rng(seed)

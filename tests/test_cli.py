@@ -322,6 +322,14 @@ class TestCliCommands:
                 "simulate", "burn_in", id="simulate-negative-burn-in",
             ),
             pytest.param(
+                ["simulate", "{tmp}/ar-model.json", "--length", "5", "--noise-sd", "nan"],
+                "simulate", "noise_sd must be finite", id="simulate-nan-noise-sd",
+            ),
+            pytest.param(
+                ["simulate", "{tmp}/ar-model.json", "--length", "5", "--noise-sd", "inf"],
+                "simulate", "noise_sd must be finite", id="simulate-inf-noise-sd",
+            ),
+            pytest.param(
                 ["fit", "nnet", "{tmp}/series.csv", "--restarts", "0",
                  "--output-dir", "{tmp}/out"],
                 "fit", "restarts", id="fit-nnet-zero-restarts",

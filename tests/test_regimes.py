@@ -1,3 +1,6 @@
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -749,6 +752,199 @@ class TestSharedScan:
                 expected.append(z_sorted[pos])
         assert np.array_equal(calls[0][0], z_sorted[positions])
         assert np.array_equal(calls[1][0], expected)
+
+
+def _fit_bits(model):
+    """Everything a fit reports, as exactly comparable values."""
+    return (
+        model.rss,
+        model.thresholds.tobytes(),
+        tuple((t.gamma, t.c) for t in model.transitions),
+        tuple(r.tobytes() for r in model.regimes),
+        model.fitted.tobytes(),
+        None if model.standard_errors is None else model.standard_errors.tobytes(),
+        model.converged,
+    )
+
+
+class TestParallelScan:
+    """Grid chunks scored on worker threads, reduced in chunk order."""
+
+    @staticmethod
+    def pools_started(monkeypatch):
+        started = []
+        pool = regimes.ThreadPoolExecutor
+
+        def counting(workers):
+            started.append(workers)
+            return pool(workers)
+
+        monkeypatch.setattr(regimes, "ThreadPoolExecutor", counting)
+        return started
+
+    @pytest.mark.parametrize(
+        "n, fit",
+        [
+            # SETAR-2 needs over 8,192 thresholds for a second chunk
+            pytest.param(12_000, lambda x, tv: fit_setar(x, 1, 2, tv), id="setar2"),
+            pytest.param(300, lambda x, tv: fit_setar(x, 1, 3, tv), id="setar3"),
+            *[
+                pytest.param(
+                    300,
+                    lambda x, tv, kind=kind, nt=nt: fit_lstar(
+                        x, 1, nt, tv, gamma_grid=GammaGrid(points=40), transition=kind
+                    ),
+                    id=f"{kind}{nt}",
+                )
+                for kind in ("logistic", "exponential")
+                for nt in (1, 2)
+            ],
+            # the small-matrix kernel case; 400 gammas give it two chunks
+            pytest.param(
+                60,
+                lambda x, tv: fit_lstar(x, 1, 1, tv, gamma_grid=GammaGrid(points=400)),
+                id="logistic1-n60",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("tv_kind", [TIME, LAGGED_VALUE])
+    def test_worker_count_cannot_move_a_bit(
+        self, monkeypatch, lstar_lagged_generator, n, fit, tv_kind
+    ):
+        x = simulate(lstar_lagged_generator, n, 0.1, seed=n)
+        tv = ThresholdVariable(tv_kind, 1)
+        started = self.pools_started(monkeypatch)
+        results, pools = {}, {}
+        threads = threading.active_count()
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(regimes, "_WORKERS", workers)
+            before = len(started)
+            results[workers] = _fit_bits(fit(x, tv))
+            pools[workers] = started[before:]
+            assert threading.active_count() == threads
+        assert results[2] == results[1]
+        assert results[3] == results[1]
+        # every grid here spans several chunks, so the pool ran; one worker
+        # never starts one
+        assert pools[1] == [] and pools[2] and pools[3]
+
+    def test_star_grid_memory_does_not_grow_with_workers(self, monkeypatch):
+        # the bound of test_time_threshold_memory_is_bounded_by_tiles, with
+        # more workers than a STAR grid may use
+        monkeypatch.setattr(regimes, "_WORKERS", 8)
+        started = self.pools_started(monkeypatch)
+        x = 1.0 + 0.01 * np.cumsum(np.random.default_rng(0).normal(size=2001))
+        tracemalloc.start()
+        try:
+            fit_lstar(x, 1, 1, ThresholdVariable(TIME), gamma_grid=GammaGrid(points=5), refine=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert started == [2]
+        assert peak < 4 * regimes._TILE_BYTES
+
+    def test_tile_buffers_survive_frequent_thread_switches(
+        self, monkeypatch, lstar_lagged_generator
+    ):
+        # threads sharing one tile buffer would overwrite each other's
+        # weights; 50-candidate tiles make about 170 chunks for the grid's
+        # two threads, which switch every microsecond
+        x = simulate(lstar_lagged_generator, 300, 0.1, seed=5)
+        tv = ThresholdVariable(LAGGED_VALUE, 1)
+        grid = GammaGrid(points=40)
+        monkeypatch.setattr(regimes, "_TILE_BYTES", 8 * 299 * 50)
+        monkeypatch.setattr(regimes, "_WORKERS", 1)
+        serial = _fit_bits(fit_lstar(x, 1, 1, tv, gamma_grid=grid, refine=False))
+        monkeypatch.setattr(regimes, "_WORKERS", 2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                assert _fit_bits(fit_lstar(x, 1, 1, tv, gamma_grid=grid, refine=False)) == serial
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_infeasible_grid_raises_alike_and_joins_its_threads(self, monkeypatch):
+        # as in test_infeasible_transition_is_named, over a grid of several chunks
+        x = simulate(make_regime_model("ar", [[0.002, 0.85]]), 300, 0.002, seed=3)
+        tv = ThresholdVariable(LAGGED_VALUE, 1)
+        started = self.pools_started(monkeypatch)
+        messages = set()
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(regimes, "_WORKERS", workers)
+            threads = threading.active_count()
+            with pytest.raises(NoFeasibleThreshold) as raised:
+                fit_lstar(
+                    x, 1, 2, tv, gamma_grid=GammaGrid(points=40),
+                    transition="exponential", refine=False,
+                )
+            messages.add(str(raised.value))
+            assert threading.active_count() == threads
+        assert messages == {"transition 2: every candidate threshold is rank deficient"}
+        # both grids of both multi-worker fits, each on at most two threads
+        assert started == [2, 2, 2, 2]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_first_error_in_chunk_order_wins_and_pending_chunks_are_cancelled(
+        self, monkeypatch, workers
+    ):
+        monkeypatch.setattr(regimes, "_WORKERS", workers)
+        scored = []
+
+        def score(start, stop):
+            scored.append(start)
+            if start in (20, 40):
+                raise NoFeasibleThreshold(f"chunk at {start}")
+            time.sleep(0.02)
+            return np.full(stop - start, 1.0)
+
+        threads = threading.active_count()
+        with pytest.raises(NoFeasibleThreshold, match="^chunk at 20$"):
+            regimes._first_min(1000, score, 10)
+        assert threading.active_count() == threads
+        # the chunks still pending at the error never run
+        if workers == 1:
+            assert scored == [0, 10, 20]
+        assert len(scored) < 100
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_ties_keep_the_first_index_across_chunks(self, monkeypatch, workers):
+        monkeypatch.setattr(regimes, "_WORKERS", workers)
+        rss = np.full(1000, 5.0)
+        rss[[37, 38, 512, 999]] = 1.0
+        rss[[3, 700]] = np.inf
+        assert regimes._first_min(1000, lambda a, b: rss[a:b], 7) == (37, 1.0)
+        with pytest.raises(NoFeasibleThreshold):
+            regimes._first_min(1000, lambda a, b: np.full(b - a, np.inf), 7)
+
+
+class TestWorkerCount:
+    """Grid threads fill the CPUs that OpenBLAS's own threads leave idle."""
+
+    @pytest.mark.parametrize(
+        "environ, workers_on_1_2_4_cpus",
+        [
+            # unset or not a positive integer: OpenBLAS takes every CPU
+            ({}, (1, 1, 1)),
+            ({"OPENBLAS_NUM_THREADS": "1"}, (1, 2, 4)),
+            ({"OPENBLAS_NUM_THREADS": "2"}, (1, 1, 2)),
+            ({"OPENBLAS_NUM_THREADS": ""}, (1, 1, 1)),
+            ({"OPENBLAS_NUM_THREADS": "abc"}, (1, 1, 1)),
+            ({"OPENBLAS_NUM_THREADS": "0"}, (1, 1, 1)),
+            ({"OMP_NUM_THREADS": "1"}, (1, 2, 4)),
+            ({"OMP_NUM_THREADS": "2"}, (1, 1, 2)),
+            ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, (1, 1, 2)),
+            ({"OPENBLAS_NUM_THREADS": "abc", "OMP_NUM_THREADS": "1"}, (1, 2, 4)),
+        ],
+    )
+    def test_rule(self, environ, workers_on_1_2_4_cpus):
+        got = tuple(regimes._worker_count(environ, cpus) for cpus in (1, 2, 4))
+        assert got == workers_on_1_2_4_cpus
+
+    def test_rule_never_exceeds_cpus(self):
+        for cpus in range(1, 9):
+            for value in ("1", "2", "3", "16", "-1", "1.5"):
+                assert 1 <= regimes._worker_count({"OPENBLAS_NUM_THREADS": value}, cpus) <= cpus
 
 
 @pytest.mark.parametrize("min_fraction", [float("nan"), float("inf"), -0.1])
