@@ -17,6 +17,7 @@ from .errors import (
     ExplosivePath,
     InvalidDf,
     IoError,
+    NoConvergence,
     NoFeasibleThreshold,
     NonFiniteLoss,
     NonFiniteResidual,

@@ -45,6 +45,10 @@ class NonFiniteResidual(RegimevolError):
     """Residual function returned NaN or infinity at the starting point."""
 
 
+class NoConvergence(RegimevolError):
+    """An iterative evaluation, such as a continued fraction, did not converge within its cap."""
+
+
 # --- structural break / unit root ---
 
 class BreakOutOfRange(RegimevolError):

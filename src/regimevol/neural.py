@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import default_rng  # loaded at import, not in a caller's first run
 
 from .errors import DimensionMismatch, NonFiniteLoss, SeriesTooShort
 from .regimes import _masked_logistic
@@ -317,7 +318,7 @@ def train_nnet_ar(series, m: int, d: int, config: TrainConfig | None = None) -> 
 
     best = None
     for restart in range(cfg.restarts):
-        rng = np.random.default_rng([cfg.seed, restart])
+        rng = default_rng([cfg.seed, restart])
         theta0 = rng.uniform(-cfg.init_scale, cfg.init_scale, size=n_weights)
         try:
             theta, loss, iterations, converged = _descend(

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+from numpy.random import default_rng  # loaded at import, not in a caller's first run
 
 from .errors import (
     ExplosivePath,
@@ -786,8 +787,16 @@ def _profiled_grid(base, block, y, z, gammas, c_values, kind, time_threshold):
         g_first = pick_g[0]
         g_span = gammas[g_first : pick_g[-1] + 1, None]
         table = _transition_weights(kind, lags[None, :], g_span, 0.0)
-        for row, g, start in zip(weights, pick_g - g_first, window_start[pick_c]):
-            row[:] = table[g, start : start + rows]
+        # windows[g, s] is table[g, s : s + rows], so a run of candidates
+        # whose window starts step down by 1 is one reversed slab of it.  c
+        # increases, so starts decrease within a gamma and go up where the
+        # next gamma begins: every run has one gamma
+        windows = np.lib.stride_tricks.sliding_window_view(table, rows, axis=1)
+        starts = window_start[pick_c]
+        cuts = [0, *(np.flatnonzero(np.diff(starts) != -1) + 1), len(picks)]
+        for lo, hi in zip(cuts, cuts[1:]):
+            slab = windows[pick_g[lo] - g_first, starts[hi - 1] : starts[lo] + 1]
+            np.copyto(weights[lo:hi], slab[::-1])
         return weights
 
     def tiled(start, stop):
@@ -873,7 +882,9 @@ def fit_lstar(
         series, order, tv, min_fraction, n_transitions + 1
     )
     k1 = order + 1
-    gammas = np.unique(np.append(grid.values(), gamma_init))
+    # np.unique's result, without its first-use import of numpy.ma mid-fit
+    gammas = np.sort(np.append(grid.values(), gamma_init))
+    gammas = gammas[np.append(True, gammas[1:] != gammas[:-1])]
 
     # greedy: each transition is grid-fit given the ones before, its c at
     # least min_count rows from theirs (every position already leaves that many
@@ -990,7 +1001,7 @@ def simulate(
         raise ValueError(f"noise_sd must be finite and non-negative, got {noise_sd}")
     if burn_in < 0:
         raise ValueError("burn_in must be non-negative")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     history = [0.0] * max(model.order, 1)
     path = np.empty(burn_in + length)
     for i in range(burn_in + length):

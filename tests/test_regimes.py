@@ -522,6 +522,26 @@ class TestTimeThresholdGrid:
             # the first grid spans more than one chunk
             assert shifted[0][1] > regimes._GRID_CHUNK
 
+    @pytest.mark.parametrize("kind", ["logistic", "exponential"])
+    def test_slabs_across_a_c_gap_and_a_gamma_boundary(self, lstar_time_generator, kind):
+        # a second transition's c grid skips the band around the first c, so
+        # window starts jump there, and the grid's short last tile reaches
+        # back into an earlier gamma: both cut a tile's copy into slabs
+        x = simulate(lstar_time_generator, 300, 0.05, seed=8)
+        design, y, z, c_values = _grid_inputs(x, ThresholdVariable(TIME))
+        at = len(c_values) // 3
+        base = np.hstack([design, _weights(kind, z, 0.05, c_values[at])[:, None] * design])
+        gap = regimes._min_count(len(y), 0.15, 1)
+        c_values = c_values[np.abs(np.arange(len(c_values)) - at) >= gap]
+        gammas = GammaGrid(points=40).values()
+        assert np.any(np.diff(c_values) > 1)
+        n_c, n_candidates = len(c_values), len(gammas) * len(c_values)
+        tile = -(-regimes._TILE_BYTES // (8 * len(y)))
+        assert n_candidates % tile and (n_candidates - tile) // n_c < (n_candidates - 1) // n_c
+
+        got = regimes._profiled_grid(base, design, y, z, gammas, c_values, kind, True)
+        assert got == _chunked_grid(base, design, y, z, gammas, c_values, kind)
+
 
 class TestTiledGrid:
     """The grid's tiles, on both threshold kinds, against the directly scored grid."""

@@ -1,10 +1,15 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
-from scipy.special import gammaln
+from scipy.special import betainc, gammaln
 
 from regimevol import (
     InvalidDf,
+    NoConvergence,
     NonFiniteResidual,
     RankDeficient,
     SingularJacobian,
@@ -13,6 +18,8 @@ from regimevol import (
     ols_fit,
     t_pvalue,
 )
+from regimevol import regression
+from regimevol.regression import _betainc, f_sf
 
 
 def normal_equations_oracle(design, response):
@@ -151,6 +158,65 @@ class TestTailProbabilities:
             df = int(rng.integers(1, 300))
             total, _ = integrate.quad(t_density, -np.inf, np.inf, args=(df,), limit=200)
             assert total == pytest.approx(1.0, abs=1e-10)
+
+
+class TestIncompleteBeta:
+    """``_betainc`` behind f_sf and t_pvalue, against closed forms and scipy."""
+
+    @pytest.mark.parametrize(
+        "statistic, f_p, t_p",
+        [(math.nan, math.nan, math.nan), (math.inf, 0.0, 0.0), (-math.inf, 1.0, 0.0), (0.0, 1.0, 1.0)],
+    )
+    def test_special_statistics(self, statistic, f_p, t_p):
+        for got, want in ((f_sf(statistic, 3, 40), f_p), (t_pvalue(statistic, 40), t_p)):
+            assert got == want or (math.isnan(got) and math.isnan(want))
+
+    def test_nan_test_statistic_is_not_significant(self):
+        # a 0/0 t statistic must not read as p = 0
+        assert math.isnan(regression.t_test(math.nan, 30).p_value)
+        assert math.isnan(f_test(math.nan, 1.0, 2, 30).p_value)
+
+    def test_nan_skips_the_fraction_and_an_unconverged_fraction_raises(self, monkeypatch):
+        monkeypatch.setattr(regression, "_BETA_TERMS", 0)
+        for args in ((math.nan, 1.0, 0.5), (1.0, math.nan, 0.5), (1.0, 1.0, math.nan)):
+            assert math.isnan(_betainc(*args))
+        with pytest.raises(NoConvergence, match="did not converge"):
+            f_sf(1.5, 4, 5000)
+
+    @pytest.mark.parametrize("t", [1e-3, 0.03, 0.3, 1.0, 2.5, 17.0, 1e3, 1e6])
+    def test_t_closed_forms(self, t):
+        # df = 1: 1 - (2/pi) atan|t|; df = 2: 1 - |t| / sqrt(2 + t^2), written
+        # without cancellation.  Below |t| = 1e-3 the float x = df / (df + t^2)
+        # is itself off by more than 1e-13 of p: 1 - x carries about 1e-16,
+        # and the tail, about sqrt(1 - x), turns that into about 1e-16 / |t|
+        # (scipy's betainc at the same x reads the same)
+        root = math.sqrt(2.0 + t * t)
+        for sign in (1.0, -1.0):
+            assert t_pvalue(sign * t, 1) == pytest.approx(2.0 / math.pi * math.atan(1.0 / t), rel=1e-13)
+            assert t_pvalue(sign * t, 2) == pytest.approx(2.0 / (root * (root + t)), rel=1e-13)
+
+    @pytest.mark.parametrize("d", [1, 2, 7, 30, 150])
+    @pytest.mark.parametrize("f", [1e-8, 1e-2, 0.7, 3.0, 40.0, 1e3])
+    def test_f2_closed_form(self, f, d):
+        # (1 + 2F/d)^(-d/2) = x^(d/2) with x = d / (d + 2F): the rounding of x
+        # itself moves it by about d/2 ulps, so d stays small for 1e-13
+        assert f_sf(f, 2, d) == pytest.approx(math.exp(-0.5 * d * math.log1p(2.0 * f / d)), rel=1e-13)
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(
+        df=st.integers(1, 10_000),
+        q=st.integers(1, 20),
+        log10_statistic=st.floats(-8.0, 4.0),
+    )
+    def test_matches_scipy(self, df, q, log10_statistic):
+        statistic = 10.0**log10_statistic
+        cases = (
+            (f_sf(statistic, q, df), betainc(df / 2.0, q / 2.0, df / (df + q * statistic))),
+            (t_pvalue(statistic, df), betainc(df / 2.0, 0.5, df / (df + statistic * statistic))),
+        )
+        for got, reference in cases:
+            if reference > 1e-300:
+                assert abs(got - reference) <= 1e-12 * reference, (got, reference)
 
 
 class TestNlsFit:
