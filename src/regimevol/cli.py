@@ -3,7 +3,7 @@
 Subcommands mirror the pipeline stages so each one is usable standalone:
 ingest, transform, test-unitroot, test-linearity, fit, compare, simulate,
 and run (the whole chain).  Every failure prints one structured error line
-to stderr and exits nonzero.
+to stderr and exits nonzero: 2 for a usage error, 1 for any other.
 """
 
 from __future__ import annotations
@@ -197,8 +197,29 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+class _UsageError(Exception):
+    """A command line argparse rejects, raised in place of its exit."""
+
+    def __init__(self, stage: str, message: str):
+        super().__init__(" ".join(message.split()))
+        self.stage = stage
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ``_UsageError``.
+
+    argparse would print its usage block and an ``error:`` line and exit 2;
+    ``main`` prints one ``ERROR stage=...`` line instead.  A subcommand's
+    parser has the prog "regimevol <command>", and the command is the stage.
+    """
+
+    def error(self, message):
+        _, _, command = self.prog.partition(" ")
+        raise _UsageError(command or "usage", message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="regimevol",
         description="Structural breaks and regime-switching volatility models",
     )
@@ -288,7 +309,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except _UsageError as exc:
+        print(f"ERROR stage={exc.stage}: {exc}", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except PipelineError as exc:

@@ -46,6 +46,9 @@ _EIG_RATIO = 1e-12
 _CERTIFY_RATIO = 100 * _EIG_RATIO
 _GRID_CHUNK = 8192
 _TILE_BYTES = 1 << 22
+_SETAR3_BLOCKS = 128
+_SETAR3_BLOCK_ROWS = 8
+_SETAR3_INCUMBENT_BLOCKS = 32
 
 
 def _worker_count(environ, cpus: int) -> int:
@@ -76,8 +79,9 @@ _WORKERS = _worker_count(
 # Grid threads run their batched LAPACK calls one at a time.  A batch is
 # thousands of tiny factorizations, and two batches at once in two threads
 # took 2.4 times as long as one after the other (2-vCPU VM, OpenBLAS on one
-# thread).  A 3-regime SETAR grid at ~2,000 rows took 0.47-0.56 s on one
-# thread, 0.62-0.66 s on two without this lock and 0.36-0.53 s with it.
+# thread).  A 3-regime SETAR grid that solved every pair at ~2,000 rows took
+# 0.47-0.56 s on one thread, 0.62-0.66 s on two without this lock and
+# 0.36-0.53 s with it.
 _LAPACK = threading.Lock()
 
 
@@ -452,11 +456,13 @@ def _prefix_stats(design: np.ndarray, y: np.ndarray):
     return sxx, sxy, syy
 
 
-def _certified_well_conditioned(gram: np.ndarray) -> np.ndarray:
+def _certified_well_conditioned(gram: np.ndarray, shift=None) -> np.ndarray:
     """Which stacked Gram matrices surely pass the ``_EIG_RATIO`` rank screen.
 
     One Cholesky of A = G - s I runs across the whole stack, a column per
-    step, with s = tau trace(G) and tau = ``_CERTIFY_RATIO``.  Like eigvalsh,
+    step, with s = tau trace(G) and tau = ``_CERTIFY_RATIO``, or s = ``shift``
+    when given, which certifies lambda_min(G) >= s - gamma_{k+1} trace(G)
+    less the rounding of the shift, u trace(G).  Like eigvalsh,
     it reads only the lower triangle of G.  A matrix is certified when s is
     a normal float and every pivot is positive and finite.
 
@@ -477,7 +483,8 @@ def _certified_well_conditioned(gram: np.ndarray) -> np.ndarray:
     a = gram.transpose(1, 2, 0).copy()
     diagonal = np.arange(k)
     with np.errstate(all="ignore"):
-        shift = _CERTIFY_RATIO * np.trace(a)
+        if shift is None:
+            shift = _CERTIFY_RATIO * np.trace(a)
         certified = shift >= np.finfo(float).tiny
         a[diagonal, diagonal] -= shift
         for j in range(k):
@@ -488,6 +495,23 @@ def _certified_well_conditioned(gram: np.ndarray) -> np.ndarray:
             for i in range(j + 1, k):
                 a[i, j + 1 : i + 1] -= column[i - j - 1] * column[: i - j]
     return certified
+
+
+def _least_eigenvalue_bound(gram: np.ndarray) -> np.ndarray:
+    """A proven lower bound on each stacked Gram's least eigenvalue; -inf where none is.
+
+    1 / trace(G^-1) lies between lambda_min / k and lambda_min, so half of its
+    computed value is a shift s that ``_certified_well_conditioned`` passes
+    on all but nearly singular Grams, proving
+    lambda_min >= s - (gamma_{k+1} + u) trace(G).
+    """
+    k = gram.shape[-1]
+    u = np.finfo(float).eps / 2
+    trace = np.trace(gram, axis1=1, axis2=2)
+    with np.errstate(all="ignore"):
+        shift = 0.5 / np.trace(np.linalg.inv(gram), axis1=1, axis2=2)
+        bound = shift - ((k + 1) * u / (1 - (k + 1) * u) + u) * trace
+    return np.where(_certified_well_conditioned(gram, shift), bound, -np.inf)
 
 
 def _screened_rss(gram: np.ndarray, rhs: np.ndarray, yy, feasible=True) -> np.ndarray:
@@ -613,6 +637,193 @@ def _first_min(
     return best, best_rss
 
 
+def _block_floors(sxx, sxy, syy) -> tuple[np.ndarray, int]:
+    """Floors under the computed RSS of every middle segment, per block pair.
+
+    Sorted rows are cut into at most ``_SETAR3_BLOCKS`` blocks of ``size``
+    rows, at least ``_SETAR3_BLOCK_ROWS``, with boundaries
+    g_i = min(i size, rows).  Let [s, t) be a segment with
+    g_(A-1) < s <= g_A and g_B <= t < g_(B+1), for boundaries A < B.
+    Then ``floor[A, B]`` is at most the RSS that ``_segment_rss`` computes
+    for [s, t); ``floor[A, B] = 0`` wherever A >= B.
+
+    In exact arithmetic the OLS RSS of the inner rows [g_A, g_B) is at most
+    that of [s, t), which holds them all.  The floor is the computed inner
+    RSS less ``margin``, a bound on the error of the two computed values.
+    An inner segment that is too short, fails the rank screen or leaves the
+    conditions below unmet gets a floor of 0, which ``_screened_rss``'s
+    clamp at 0 keeps below every computed RSS.  Floor and sums round
+    monotonically: floor <= mid gives low + floor + high <= low + mid + high
+    in floating point too.
+
+    The margin.  Let u be the unit roundoff, n = rows, k the coefficients,
+    Y and T the y'y and trace(X'X) of all rows, D^2 = diag(X'X) of all rows,
+    and Y_O and T_O the same over the outer rows [g_(A-1), g_(B+1)), which
+    hold [s, t).  Prefix sums add n products in sequence, so a segment's
+    Gram G, X'y and y'y, each a difference of two prefix sums, are off by at
+    most eps = (2n + 3) u times the matching sums of |x_i x_i'|, |x_i y_i|
+    and y_i^2 over all rows (Higham, Accuracy and Stability of Numerical
+    Algorithms, eq. 4.4).  RSS is the minimum over beta of
+    y'y - 2 beta'X'y + beta'G beta, so these data errors move it by at most
+    eps (sqrt(Y) + ||D beta||_1)^2 <= eps (sqrt(Y) + sqrt(k Y_O / lam_s))^2,
+    with beta either segment solution and lam_s a lower bound on the least
+    eigenvalue of the scaled Gram D^-1 G D^-1.  The LU solve is backward
+    stable with ||dG|| <= c_k u ||G||, c_k = 3 k^2 (1 + (k^2 - k) 2^k)
+    (Higham, Thm 9.4 and Lemma 9.6, growth factor at most 2^(k-1)), which
+    moves beta'X'y by at most c_k u (T_O / lam) Y_O, with lam a lower bound
+    on the least eigenvalue of G; rounding that product and the final
+    subtraction add at most (k + 2) u Y_O (1 + sqrt(T_O / lam)).  A superset
+    of rows only raises the least eigenvalue, so the inner segment's serves
+    [s, t) too: lam and lam_s are ``_least_eigenvalue_bound``'s values on
+    the computed inner Gram and its scaled copy, less 2 eps T and
+    2 k (eps + 2 u), the data error of the inner and of the middle Gram
+    (||dG||_2 <= eps T, and eps k once scaled) and the rounding of the
+    scaling.  So each computed RSS is within
+    E = 2 (eps (sqrt(Y) + sqrt(k Y_O / lam_s))^2
+    + (c_k + k + 2) u Y_O (1 + sqrt(T_O / lam))^2) of its exact value, the
+    factor 2 covering every second-order term while (c_k + k + 2) u T_O / lam
+    and k eps / lam_s are at most 1/8.  The margin is 2 E; where a condition
+    fails, the floor is 0.
+    """
+    rows = len(syy) - 1
+    k = sxx.shape[-1]
+    size = max(-(-rows // _SETAR3_BLOCKS), _SETAR3_BLOCK_ROWS)
+    nb = -(-rows // size) + 1
+    bounds = np.minimum(np.arange(nb) * size, rows)
+    upper_a, upper_b = np.triu_indices(nb, 1)
+    starts, stops = bounds[upper_a], bounds[upper_b]
+    gram = sxx[stops] - sxx[starts]
+    inner = _screened_rss(gram, sxy[stops] - sxy[starts], syy[stops] - syy[starts], stops - starts > k)
+    scored = np.flatnonzero(np.isfinite(inner))
+    gram = gram[scored]
+    outer_a = bounds[np.maximum(upper_a[scored] - 1, 0)]
+    outer_b = bounds[np.minimum(upper_b[scored] + 1, nb - 1)]
+
+    u = np.finfo(float).eps / 2
+    eps = (2 * rows + 3) * u
+    c_k = 3 * k * k * (1 + (k * k - k) * 2**k)
+    norms = sxx[-1].diagonal()
+    total_y, total_t = syy[-1], norms.sum()
+    outer_y = syy[outer_b] - syy[outer_a] + 2 * eps * total_y
+    outer_t = np.trace(sxx[outer_b] - sxx[outer_a], axis1=1, axis2=2) + 2 * eps * total_t
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        scale = 1.0 / np.sqrt(norms)
+        lam_s = _least_eigenvalue_bound(gram * scale[:, None] * scale) - 2 * k * (eps + 2 * u)
+        lam = _least_eigenvalue_bound(gram) - 2 * eps * total_t
+        solve_term = (c_k + k + 2) * u * outer_t / lam
+        error = eps * (np.sqrt(total_y) + np.sqrt(k * outer_y / lam_s)) ** 2
+        error += (c_k + k + 2) * u * outer_y * (1.0 + np.sqrt(outer_t / lam)) ** 2
+        proven = (lam > 0) & (lam_s > 0) & (solve_term <= 0.125) & (k * eps <= 0.125 * lam_s)
+        margin = np.where(proven, 4.0 * error, np.inf)
+        floor = np.zeros((nb, nb))
+        floor[upper_a[scored], upper_b[scored]] = np.maximum(inner[scored] - margin, 0.0)
+    return floor, size
+
+
+def _three_regime_split(sxx, sxy, syy, positions, min_count, low, high) -> tuple[int, int, float]:
+    """First lowest-RSS threshold pair (a, b), as indices into ``positions``.
+
+    Pairs a < b with positions[b] - positions[a] >= min_count are scanned
+    a-major, and each scores low[a] + middle + high[b], the middle being the
+    RSS of sorted rows positions[a]..positions[b]-1 (``_segment_rss``).
+
+    Branch and bound, with the winner, its RSS and the first-wins tie rule
+    of scoring every pair.  Each pair is bounded from below by
+    low[a] + floor + high[b], with ``_block_floors``'s floor for the first
+    block boundary at or after positions[a] and the last at or before
+    positions[b]; the bound never exceeds the pair's computed score.
+    Before the scan, the pairs of the ``_SETAR3_INCUMBENT_BLOCKS`` block
+    pairs with the lowest bounds are scored, and the best of them is
+    improved by re-scoring every b for its a and every a for its b, by
+    turns; its score is the cutoff.  ``_first_min`` then solves only the
+    pairs whose bound is at most the cutoff, with the same arithmetic, and
+    every other pair counts as inf: its score exceeds the cutoff, which is
+    at least the winning score, so it can neither win nor tie.  A chunk
+    skips at once every run of one a's pairs in one block whose lowest
+    bound, through the least high[b] of the run, is above the cutoff.
+
+    The cutoff is fixed before the scan, and the scan runs on the calling
+    thread, so the solved pairs do not depend on the number of workers.
+    What is left per chunk is mostly short numpy calls that hold the
+    interpreter lock: at ~2,000 rows a fit took 0.14 s on two threads and
+    0.10 s on one (2-vCPU VM, BLAS on one thread).
+    """
+    n_positions = len(positions)
+    # each a pairs with b = later[a], ..., P - 1, at flat indices b - shift[a]
+    later = np.searchsorted(positions, positions + min_count, side="left")
+    counts = n_positions - later
+    ends = np.cumsum(counts)
+    shift = later - (ends - counts)
+
+    def solve(a, b):
+        return low[a] + _segment_rss(sxx, sxy, syy, positions[a], positions[b]) + high[b]
+
+    def best_of(a, b):
+        rss = solve(a, b)
+        pick = int(np.argmin(rss))
+        return int(a[pick]), int(b[pick]), rss[pick]
+
+    floor, size = _block_floors(sxx, sxy, syy)
+    first = -(-positions // size)
+    last = positions // size
+    # runs of cut positions that share a block boundary
+    group_a = np.flatnonzero(np.diff(first, prepend=-1))
+    group_b = np.flatnonzero(np.diff(last, prepend=-1))
+    a_stop = np.append(group_a[1:], n_positions)
+    b_stop = np.append(group_b[1:], n_positions)
+    high_min = np.minimum.reduceat(high, group_b)
+    row_floor = floor[:, last[group_b]]
+
+    # the incumbent
+    block_bound = (np.minimum.reduceat(low, group_a)[:, None] + row_floor[first[group_a]]) + high_min
+    # a run's first a pairs with the most b
+    block_bound[later[group_a][:, None] >= b_stop] = np.inf
+    best = None
+    for flat in np.argsort(block_bound, axis=None, kind="stable")[:_SETAR3_INCUMBENT_BLOCKS]:
+        i, j = divmod(int(flat), len(group_b))
+        if block_bound[i, j] == np.inf:
+            break
+        a, b = np.meshgrid(
+            np.arange(group_a[i], a_stop[i]), np.arange(group_b[j], b_stop[j]), indexing="ij"
+        )
+        valid = b >= later[a]
+        found = best_of(a[valid], b[valid])
+        if best is None or found[2] < best[2]:
+            best = found
+    cutoff = np.inf
+    if best is not None:
+        a, b, cutoff = best
+        # a few turns, each at most 2 P solves; one or two usually settle it
+        for _ in range(4):
+            a_new, b_new, cutoff = best_of(*np.broadcast_arrays(a, np.arange(later[a], n_positions)))
+            a_new, b_new, cutoff = best_of(*np.broadcast_arrays(np.flatnonzero(later <= b_new), b_new))
+            if (a_new, b_new) == (a, b):
+                break
+            a, b = a_new, b_new
+
+    def score(start, stop):
+        rss = np.full(stop - start, np.inf)
+        a_first, a_last = np.searchsorted(ends, [start, stop - 1], side="right")
+        rows = np.arange(a_first, a_last + 1)
+        bound = (low[rows, None] + row_floor[first[rows]]) + high_min
+        row, run = np.nonzero(bound <= cutoff)
+        a = rows[row]
+        # each live run's b, within a's pairs and within the chunk
+        lo = np.maximum(group_b[run], np.maximum(later[a], start + shift[a]))
+        lengths = np.maximum(np.minimum(b_stop[run], stop + shift[a]) - lo, 0)
+        a = np.repeat(a, lengths)
+        b = np.arange(len(a)) + np.repeat(lo - (np.cumsum(lengths) - lengths), lengths)
+        keep = (low[a] + floor[first[a], last[b]]) + high[b] <= cutoff
+        a, b = a[keep], b[keep]
+        if len(a):
+            rss[b - shift[a] - start] = solve(a, b)
+        return rss
+
+    best, rss = _first_min(int(ends[-1]), score, workers=1)
+    a = int(np.searchsorted(ends, best, side="right"))
+    return a, int(best + shift[a]), rss
+
+
 def fit_setar(
     series,
     order: int,
@@ -627,6 +838,17 @@ def fit_setar(
     2 regimes, 0.10 for 3).  Every candidate (or ordered candidate pair) is
     scored by regime-wise OLS; the global RSS minimum wins and ties break
     toward the smallest threshold(s).
+
+    With 3 regimes most pairs are ruled out unsolved, by branch and bound
+    (``_three_regime_split``).  Rows sorted by the threshold variable fall
+    into blocks of max(8, rows / 128) rows.  A pair of cuts (a, b) is bounded
+    from below by low[a] + inner + high[b], where inner is the RSS of the
+    rows between the first block boundary at or after a and the last at or
+    before b, a subset of the middle regime's rows, less a margin that
+    bounds the rounding error of the two computed RSS values
+    (``_block_floors``).  A pair is solved only when its bound is at most
+    the RSS of an incumbent pair scored before the scan, so the winner, its
+    RSS and the tie rule are those of solving every pair.
     """
     if n_regimes not in (2, 3):
         raise ValueError("n_regimes must be 2 or 3")
@@ -643,24 +865,8 @@ def fit_setar(
         best, _ = _first_min(len(positions), lambda lo, hi: low[lo:hi] + high[lo:hi])
         cut_positions = positions[[best]]
     else:
-        # pairs a < b with positions[b] - positions[a] >= min_count, a-major:
-        # each a pairs with b = later[a], ..., P - 1
-        later = np.searchsorted(positions, positions + min_count, side="left")
-        counts = len(positions) - later
-        ends = np.cumsum(counts)
-        shift = later - (ends - counts)
-
-        def pair(flat):
-            # a's run of pairs is the first to end after flat; b is its offset
-            a = np.searchsorted(ends, flat, side="right")
-            return a, flat + shift[a]
-
-        def score(start, stop):
-            a, b = pair(np.arange(start, stop))
-            return low[a] + _segment_rss(sxx, sxy, syy, positions[a], positions[b]) + high[b]
-
-        best, _ = _first_min(int(ends[-1]), score)
-        cut_positions = positions[list(pair(best))]
+        a, b, _ = _three_regime_split(sxx, sxy, syy, positions, min_count, low, high)
+        cut_positions = positions[[a, b]]
 
     thresholds = z_sorted[cut_positions]
     assignment = _regime_assignment(thresholds, z)

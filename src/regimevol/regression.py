@@ -12,7 +12,9 @@ Algorithm 708), with ln Gamma(p+q) - ln Gamma(p) of the larger parameter p
 from a Stirling series through ``log1p``, times the modified-Lentz
 evaluation of the continued fraction for the tail (Numerical Recipes, 3rd
 ed., section 6.4), switching to 1 - I_{1-x}(b, a) at and above
-x = (a+1)/(a+b+2), where the direct fraction converges slowly.  Over
+x = (a+1)/(a+b+2), where the direct fraction converges slowly.  The t and F
+p-values pass 1 - x as t^2 / (df + t^2) and q F / (df + q F), free of the
+cancellation in 1.0 - x, so p stays accurate near 1 for tiny statistics.  Over
 1 <= df <= 10,000, numerator df 1..20 and statistics 1e-8..1e4, its
 relative error against 40-digit ``mpmath`` values at the same x was at
 most 4.5e-13 wherever the result exceeds 1e-300 (26,500 cases), and the
@@ -181,22 +183,25 @@ def _lgamma_ratio(p: float, q: float) -> float:
     )
 
 
-def _betainc(a: float, b: float, x: float) -> float:
+def _betainc(a: float, b: float, x: float, y: float) -> float:
     """Regularized incomplete beta I_x(a, b) for a, b > 0 (see the module notes).
 
-    NaN in any argument gives NaN; raises NoConvergence if the continued
-    fraction has not settled within ``_BETA_TERMS`` terms.
+    ``y`` is 1 - x, computed by the caller without cancellation: near x = 1
+    the float 1.0 - x keeps only an absolute 1e-16, and the tail
+    I_{1-x}(b, a) would turn that into a relative error of about
+    1e-16 / (1 - x)^b.  NaN in a, b or x gives NaN; raises NoConvergence if
+    the continued fraction has not settled within ``_BETA_TERMS`` terms.
     """
     if math.isnan(a) or math.isnan(b) or math.isnan(x):
         return math.nan
     if x <= 0.0:
         return 0.0
-    if x >= 1.0:
+    if y <= 0.0:
         return 1.0
     # above the switch the fraction of I_{1-x}(b, a) converges faster
     swap = x >= (a + 1.0) / (a + b + 2.0)
     if swap:
-        a, b, x = b, a, 1.0 - x
+        a, b, x = b, a, y
     p, q = max(a, b), min(a, b)
     log_front = a * math.log(x) + b * math.log1p(-x) - math.lgamma(q) + _lgamma_ratio(p, q)
     # 1 / (1 + d1 / (1 + d2 / (1 + ...))) by modified Lentz from f = C = tiny,
@@ -223,8 +228,8 @@ def f_sf(statistic: float, df_num: int, df_den: int) -> float:
         return 1.0
     if math.isinf(statistic):
         return 0.0
-    x = df_den / (df_den + df_num * statistic)
-    return _betainc(df_den / 2.0, df_num / 2.0, x)
+    scaled = df_num * statistic
+    return _betainc(df_den / 2.0, df_num / 2.0, df_den / (df_den + scaled), scaled / (df_den + scaled))
 
 
 def f_test(
@@ -266,8 +271,8 @@ def t_pvalue(statistic: float, df: int) -> float:
         raise InvalidDf("degrees of freedom must be >= 1")
     if math.isinf(statistic):
         return 0.0
-    x = df / (df + statistic * statistic)
-    return _betainc(df / 2.0, 0.5, x)
+    square = statistic * statistic
+    return _betainc(df / 2.0, 0.5, df / (df + square), square / (df + square))
 
 
 def t_test(statistic: float, df: int) -> TTestResult:

@@ -95,6 +95,30 @@ class TestRunPipeline:
             bytes_b = open(b[key], "rb").read()
             assert bytes_a == bytes_b, f"artifact {key} differs between runs"
 
+    def test_artifacts_do_not_depend_on_grid_workers(self, tmp_path, monkeypatch):
+        from regimevol import regimes
+
+        prices_path = write_price_csv(tmp_path / "prices.csv", synthetic_prices(600, 300, seed=13))
+        runs = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(regimes, "_WORKERS", workers)
+            artifacts = run_pipeline(PipelineConfig(
+                input_path=prices_path,
+                break_date=(dt.date(2006, 1, 2) + dt.timedelta(days=300)).isoformat(),
+                volatility_window=30,
+                ar_max_order=8,
+                models=[
+                    {"kind": "setar", "order": 1, "regimes": 3},
+                    {"kind": "setar", "order": 1, "regimes": 3, "threshold": "lagged_value"},
+                    {"kind": "lstar", "order": 1, "transitions": 1, "gamma_points": 20},
+                ],
+                output_dir=str(tmp_path / f"workers-{workers}"),
+            ))
+            runs[workers] = {key: open(path, "rb").read() for key, path in artifacts.items()}
+        assert len(runs[1]) == len(runs[2]) > 6
+        for key in sorted(runs[1]):
+            assert runs[1][key] == runs[2][key], f"artifact {key} differs between 1 and 2 workers"
+
     def test_fitted_csv_cells_are_plain_numbers(self, price_csv, break_date, tmp_path):
         artifacts = run_pipeline(small_config(price_csv, break_date, tmp_path / "out"))
         fitted = sorted(k for k in artifacts if k.startswith("fitted_"))
@@ -444,6 +468,40 @@ class TestCliCommands:
         assert err_lines[0].count("stage=") == 1
         assert fragment in err_lines[0]
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, stage, fragment",
+        [
+            pytest.param(["fit", "ar", "s.csv", "--order", "x"], "fit",
+                         "argument --order: invalid int value: 'x'", id="fit-order-not-a-number"),
+            pytest.param(["fitt", "ar", "s.csv"], "usage",
+                         "invalid choice: 'fitt'", id="unknown-subcommand"),
+            pytest.param(["fit", "setar", "s.csv", "--threshold", "calendar"], "fit",
+                         "argument --threshold: invalid choice: 'calendar'", id="fit-bad-threshold"),
+            pytest.param(["simulate", "model.json"], "simulate",
+                         "the following arguments are required: --length", id="simulate-no-length"),
+            pytest.param([], "usage", "required: command", id="no-subcommand"),
+        ],
+    )
+    def test_usage_error_is_one_error_line(self, argv, stage, fragment, capsys):
+        # argparse's own handling prints a usage block and an "error:" line
+        code = main(argv)
+        captured = capsys.readouterr()
+        err_lines = [l for l in captured.err.splitlines() if l.strip()]
+        assert code == 2
+        assert captured.out == ""
+        assert len(err_lines) == 1, captured.err
+        assert err_lines[0].startswith(f"ERROR stage={stage}: ")
+        assert fragment in err_lines[0]
+
+    @pytest.mark.parametrize("argv", [["--help"], ["fit", "--help"]])
+    def test_help_still_exits_zero_with_its_text(self, argv, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: regimevol")
+        assert captured.err == ""
 
     def test_env_override_of_seed_and_output_dir(self, price_csv, break_date, tmp_path, monkeypatch):
         override_dir = tmp_path / "env-out"

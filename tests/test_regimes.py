@@ -2,6 +2,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from regimevol import (
     GammaGrid,
     NoFeasibleThreshold,
     RankDeficient,
+    SeriesTooShort,
     TransitionSpec,
     exponential_transition,
     fit_ar,
@@ -485,6 +487,163 @@ class TestSetarGridOracle:
         assert model.rss == pytest.approx(expected, rel=tolerance)
 
 
+def _split_inputs(x, order, tv):
+    """What ``fit_setar`` hands the 3-regime split: prefix sums of the rows
+    sorted by the threshold variable, the cut positions, the fewest rows a
+    regime may keep, and the RSS below and above each cut."""
+    _, design, y, _, sort_idx, _, positions, min_count = regimes._grid_setup(x, order, tv, None, 3)
+    sxx, sxy, syy = regimes._prefix_stats(design[sort_idx], y[sort_idx])
+    zeros = np.zeros(len(positions), dtype=int)
+    low = regimes._segment_rss(sxx, sxy, syy, zeros, positions)
+    high = regimes._segment_rss(sxx, sxy, syy, positions, zeros + len(y))
+    return sxx, sxy, syy, positions, min_count, low, high
+
+
+def _unpruned_split(sxx, sxy, syy, positions, min_count, low, high):
+    """Every threshold pair scored, a-major, the first lowest winning: the
+    3-regime scan without branch and bound, kept as its reference."""
+    later = np.searchsorted(positions, positions + min_count, side="left")
+    counts = len(positions) - later
+    ends = np.cumsum(counts)
+    shift = later - (ends - counts)
+
+    def pair(flat):
+        a = np.searchsorted(ends, flat, side="right")
+        return a, flat + shift[a]
+
+    def score(start, stop):
+        a, b = pair(np.arange(start, stop))
+        return low[a] + regimes._segment_rss(sxx, sxy, syy, positions[a], positions[b]) + high[b]
+
+    best, rss = regimes._first_min(int(ends[-1]), score)
+    a, b = pair(best)
+    return int(a), int(b), rss
+
+
+class _SolveCounter:
+    """Counts the segments ``_screened_rss`` is asked to solve, while active."""
+
+    def __init__(self):
+        self.solved = 0
+
+    def __enter__(self):
+        computed = regimes._screened_rss
+
+        def counting(gram, *args, **kwargs):
+            self.solved += len(gram)
+            return computed(gram, *args, **kwargs)
+
+        self.patch = mock.patch.object(regimes, "_screened_rss", counting)
+        self.patch.start()
+        return self
+
+    def __exit__(self, *exc):
+        self.patch.stop()
+        return False
+
+
+def _series(shape, n, seed):
+    """A test series of one of the shapes the pruned 3-regime scan must survive."""
+    rng = np.random.default_rng(seed)
+    if shape == "piecewise":
+        # noise-free and linear between kinks: many splits tie at RSS ~ 0
+        kinks = np.sort(rng.integers(1, n, rng.integers(0, 4)))
+        slopes = rng.choice([-1.0, -0.25, 0.0, 0.5, 2.0], len(kinks) + 1)
+        return 3.0 + np.cumsum(slopes[np.searchsorted(kinks, np.arange(n), side="right")])
+    noise = rng.normal(size=n)
+    x = np.empty(n)
+    x[0] = noise[0]
+    for t in range(1, n):
+        x[t] = (0.5 if x[t - 1] < 0 else -0.3) * x[t - 1] + noise[t]
+    if shape == "constant":
+        # flat stretches make rank-deficient inner segments
+        for _ in range(rng.integers(1, 3)):
+            start = rng.integers(0, n - 10)
+            x[start : start + rng.integers(10, n // 2)] = x[start]
+    elif shape == "repeated":
+        x = np.round(x, 1)
+    return x
+
+
+class TestPrunedSetarScan:
+    """The branch-and-bound 3-regime scan against scoring every pair."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(40, 400),
+        shape=st.sampled_from(["noise", "piecewise", "constant", "repeated"]),
+        scale=st.sampled_from([1e-100, 1.0, 1e100]),
+        tv_kind=st.sampled_from([TIME, LAGGED_VALUE]),
+        order=st.sampled_from([0, 1, 2]),
+        block_rows=st.sampled_from([1, 8]),
+        blocks=st.sampled_from([4, 128]),
+    )
+    def test_pruned_scan_equals_every_pair_scored(
+        self, seed, n, shape, scale, tv_kind, order, block_rows, blocks
+    ):
+        assume(order > 0 or tv_kind == TIME)
+        x = scale * _series(shape, n, seed)
+        tv = ThresholdVariable(tv_kind, 1)
+        with mock.patch.multiple(regimes, _SETAR3_BLOCK_ROWS=block_rows, _SETAR3_BLOCKS=blocks):
+            try:
+                inputs = _split_inputs(x, order, tv)
+            except (NoFeasibleThreshold, SeriesTooShort):
+                return
+            try:
+                a, b, rss = _unpruned_split(*inputs)
+                expected = (a, b, rss.hex())
+            except NoFeasibleThreshold as exc:
+                expected = str(exc)
+            outcomes, solved = set(), {}
+            # 97-pair chunks give even short series several; without an
+            # incumbent the cutoff is inf
+            for incumbent_blocks in (regimes._SETAR3_INCUMBENT_BLOCKS, 0):
+                for chunk, workers in ((8192, 1), (97, 1), (97, 2), (8192, 3)):
+                    with mock.patch.multiple(
+                        regimes, _SETAR3_INCUMBENT_BLOCKS=incumbent_blocks,
+                        _GRID_CHUNK=chunk, _WORKERS=workers,
+                    ), _SolveCounter() as counter:
+                        try:
+                            a, b, rss = regimes._three_regime_split(*inputs)
+                            outcomes.add((a, b, rss.hex()))
+                        except NoFeasibleThreshold as exc:
+                            outcomes.add(str(exc))
+                    solved.setdefault(incumbent_blocks, set()).add(counter.solved)
+        assert outcomes == {expected}
+        # the cutoff is fixed before the scan: neither a chunk nor a thread
+        # can lower it for the chunks after it
+        assert all(len(counts) == 1 for counts in solved.values())
+
+    @pytest.mark.parametrize("n", [150, 300])
+    @pytest.mark.parametrize("tv_kind", [TIME, LAGGED_VALUE])
+    def test_exact_fits_keep_the_first_of_many_ties(self, n, tv_kind):
+        # x_t = x_(t-1) + 0.1 holds in every segment, so every split scores
+        # roundoff or the clamp's 0, and the last bits decide the first
+        # lowest; a floor without its margin loses it
+        x = 2.0 + 0.1 * np.arange(n)
+        inputs = _split_inputs(x, 1, ThresholdVariable(tv_kind, 1))
+        assert regimes._three_regime_split(*inputs) == _unpruned_split(*inputs)
+
+    @pytest.mark.parametrize("tv_kind", [TIME, LAGGED_VALUE])
+    def test_most_pairs_never_reach_the_solve(self, tv_kind):
+        # a 3-regime series, so the pruning cannot silently switch off
+        tv = ThresholdVariable(tv_kind, 1)
+        thresholds = [334.0, 667.0] if tv_kind == TIME else [-0.3, 0.4]
+        generator = make_regime_model(
+            "setar", [[0.5, 0.6], [0.0, -0.4], [-0.5, 0.3]], thresholds=thresholds, tv=tv
+        )
+        x = simulate(generator, 1000, 0.2, seed=9)
+        inputs = _split_inputs(x, 1, tv)
+        positions, min_count = inputs[3], inputs[4]
+        pairs = int(np.sum(len(positions) - np.searchsorted(positions, positions + min_count)))
+        with _SolveCounter() as counter:
+            split = regimes._three_regime_split(*inputs)
+        assert split == _unpruned_split(*inputs)
+        assert pairs > 200_000
+        assert counter.solved < 0.2 * pairs
+
+
 class TestTimeThresholdGrid:
     """Shifted windows of one transition per gamma against per-candidate weights."""
 
@@ -803,17 +962,19 @@ class TestParallelScan:
         return started
 
     @pytest.mark.parametrize(
-        "n, fit",
+        "n, fit, pooled",
         [
             # SETAR-2 needs over 8,192 thresholds for a second chunk
-            pytest.param(12_000, lambda x, tv: fit_setar(x, 1, 2, tv), id="setar2"),
-            pytest.param(300, lambda x, tv: fit_setar(x, 1, 3, tv), id="setar3"),
+            pytest.param(12_000, lambda x, tv: fit_setar(x, 1, 2, tv), True, id="setar2"),
+            # the pruned 3-regime scan runs on the calling thread
+            pytest.param(300, lambda x, tv: fit_setar(x, 1, 3, tv), False, id="setar3"),
             *[
                 pytest.param(
                     300,
                     lambda x, tv, kind=kind, nt=nt: fit_lstar(
                         x, 1, nt, tv, gamma_grid=GammaGrid(points=40), transition=kind
                     ),
+                    True,
                     id=f"{kind}{nt}",
                 )
                 for kind in ("logistic", "exponential")
@@ -823,13 +984,14 @@ class TestParallelScan:
             pytest.param(
                 60,
                 lambda x, tv: fit_lstar(x, 1, 1, tv, gamma_grid=GammaGrid(points=400)),
+                True,
                 id="logistic1-n60",
             ),
         ],
     )
     @pytest.mark.parametrize("tv_kind", [TIME, LAGGED_VALUE])
     def test_worker_count_cannot_move_a_bit(
-        self, monkeypatch, lstar_lagged_generator, n, fit, tv_kind
+        self, monkeypatch, lstar_lagged_generator, n, fit, pooled, tv_kind
     ):
         x = simulate(lstar_lagged_generator, n, 0.1, seed=n)
         tv = ThresholdVariable(tv_kind, 1)
@@ -844,9 +1006,10 @@ class TestParallelScan:
             assert threading.active_count() == threads
         assert results[2] == results[1]
         assert results[3] == results[1]
-        # every grid here spans several chunks, so the pool ran; one worker
-        # never starts one
-        assert pools[1] == [] and pools[2] and pools[3]
+        # every grid here spans several chunks, so the pool ran where the
+        # scan uses one; one worker never starts one
+        assert pools[1] == []
+        assert bool(pools[2]) is pooled and bool(pools[3]) is pooled
 
     def test_star_grid_memory_does_not_grow_with_workers(self, monkeypatch):
         # the bound of test_time_threshold_memory_is_bounded_by_tiles, with
