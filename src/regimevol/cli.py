@@ -12,9 +12,12 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 from . import dataio, pipeline
 from .errors import PipelineError, RegimevolError
+from .pipeline import ModelRequest, PipelineConfig
+from .regimes import THRESHOLD_KINDS
 from .regimes import simulate as simulate_model
 from .stationarity import NULL_BREAK, TREND_BREAK
 
@@ -47,7 +50,7 @@ def _cmd_transform(args) -> int:
     returns_path = os.path.join(args.output_dir, "returns.csv")
     vol_path = os.path.join(args.output_dir, "volatility.csv")
     returns, volatility = pipeline.transform(
-        prices, args.window, not args.uncentered, returns_path, vol_path
+        prices, args.volatility_window, not args.uncentered, returns_path, vol_path
     )
     print(f"wrote {returns_path} ({len(returns)} rows) and {vol_path} ({len(volatility)} rows)")
     return 0
@@ -55,7 +58,7 @@ def _cmd_transform(args) -> int:
 
 def _cmd_test_unitroot(args) -> int:
     prices = dataio.ingest(args.input)
-    significance = pipeline.PipelineConfig.significance  # the run's default
+    significance = PipelineConfig.significance  # the run's default
     _emit(
         pipeline.unitroot(
             prices, args.break_date, args.break_index, args.specification, significance
@@ -71,23 +74,9 @@ def _cmd_test_linearity(args) -> int:
     return 0
 
 
-def _model_request_from_args(args) -> pipeline.ModelRequest:
-    return pipeline.ModelRequest(
-        kind=args.kind,
-        order=args.order,
-        regimes=args.regimes,
-        transitions=args.transitions,
-        threshold=args.threshold,
-        delay=args.delay,
-        min_fraction=args.min_fraction,
-        gamma_lo=args.gamma_lo,
-        gamma_hi=args.gamma_hi,
-        gamma_step=args.gamma_step,
-        gamma_points=args.gamma_points,
-        hidden=args.hidden,
-        restarts=args.restarts,
-        standardize=not args.raw_inputs,
-    )
+def _given(args, cls) -> dict:
+    """The options given that name a field of ``cls``; one left out keeps its default."""
+    return {f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)}
 
 
 def _cmd_fit(args) -> int:
@@ -95,37 +84,40 @@ def _cmd_fit(args) -> int:
     dataio.make_output_dir(args.output_dir)
     model_path = os.path.join(args.output_dir, "model.json")
     fitted_path = os.path.join(args.output_dir, "fitted.csv")
-    pipeline.fit(_model_request_from_args(args), values, args.seed, model_path, fitted_path)
+    request = ModelRequest(**_given(args, ModelRequest))
+    pipeline.fit(request, values, args.seed, model_path, fitted_path)
     print(f"wrote {model_path} and {fitted_path}")
     return 0
 
 
-def _parse_model_spec(spec: str) -> pipeline.ModelRequest:
-    """Parse compact specs like ``setar:order=1,regimes=3``."""
+_FLAGS = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
+
+
+def _parse_model_spec(spec: str) -> ModelRequest:
+    """Parse compact specs like ``setar:order=1,regimes=3``.
+
+    The keys are the fields of ``ModelRequest`` after ``kind``, each value
+    read as the type of its field.
+    """
     kind, _, rest = spec.partition(":")
     payload: dict = {"kind": kind.strip()}
-    if rest:
-        for part in rest.split(","):
-            key, _, value = part.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if not key or not value:
-                raise RegimevolError(f"bad model spec fragment {part!r} in {spec!r}")
-            if key in ("threshold",):
-                payload[key] = value
-            elif key in ("standardize",):
-                flag = value.lower()
-                if flag not in ("1", "true", "yes", "0", "false", "no"):
-                    raise RegimevolError(
-                        f"standardize must be true/false/1/0/yes/no, got {value!r}"
-                    )
-                payload[key] = flag in ("1", "true", "yes")
-            elif key in ("min_fraction", "gamma_lo", "gamma_hi", "gamma_step"):
-                payload[key] = float(value)
-            else:
-                payload[key] = int(value)
+    keys = {f.name for f in fields(ModelRequest)} - {"kind"}
+    for part in rest.split(",") if rest else ():
+        key, _, value = (side.strip() for side in part.partition("="))
+        if not key or not value:
+            raise RegimevolError(f"bad model spec fragment {part!r} in {spec!r}")
+        if key not in keys:
+            raise RegimevolError(f"unknown key {key!r} in model spec {spec!r}")
+        cast = pipeline.field_types(ModelRequest)[key][0]
+        try:
+            payload[key] = _FLAGS[value.lower()] if cast is bool else cast(value)
+        except (KeyError, ValueError):
+            expected = "/".join(_FLAGS) if cast is bool else cast.__name__
+            raise RegimevolError(
+                f"{key!r} in model spec {spec!r} must be {expected}, got {value!r}"
+            ) from None
     try:
-        return pipeline.ModelRequest.from_dict(payload)
+        return ModelRequest.from_dict(payload)
     except (TypeError, ValueError) as exc:
         raise RegimevolError(f"bad model spec {spec!r}: {exc}") from exc
 
@@ -147,7 +139,7 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _run_config(args) -> pipeline.PipelineConfig:
+def _run_config(args) -> PipelineConfig:
     if args.config:
         try:
             with open(args.config) as handle:
@@ -158,20 +150,11 @@ def _run_config(args) -> pipeline.PipelineConfig:
             raise RegimevolError(f"invalid config JSON: {exc}") from exc
         if not isinstance(payload, dict):
             raise RegimevolError(f"config must be a JSON object, got {type(payload).__name__}")
-        return pipeline.PipelineConfig.from_dict(payload)
-    if not args.input:
+    elif hasattr(args, "input_path"):
+        payload = _given(args, PipelineConfig)
+    else:
         raise RegimevolError("provide --config or --input")
-    overrides: dict = {
-        "input_path": args.input,
-        "break_date": args.break_date,
-        "break_index": args.break_index,
-        "volatility_window": args.window,
-        "ar_max_order": args.ar_max_order,
-        "significance": args.significance,
-        "seed": args.seed,
-        "output_dir": args.output_dir,
-    }
-    return pipeline.PipelineConfig.from_dict(overrides)
+    return PipelineConfig.from_dict(payload)
 
 
 def _cmd_run(args) -> int:
@@ -218,6 +201,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(command or "usage", message)
 
 
+def _field_option(parser, cls, name: str, flag: str | None = None, **kwargs) -> None:
+    """Add ``flag`` (by default ``--`` and the field name dashed) for field
+    ``name`` of ``cls``: stored under the field name, typed by its annotation,
+    and with a metavar spelt from the flag, so --help names the flag."""
+    flag = flag or "--" + name.replace("_", "-")
+    metavar = flag[2:].replace("-", "_").upper()
+    kwargs.setdefault("type", pipeline.field_types(cls)[name][0])
+    parser.add_argument(flag, dest=name, metavar=metavar, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="regimevol",
@@ -232,67 +225,67 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("transform", help="prices -> log returns -> realized volatility")
     p.add_argument("input")
-    p.add_argument("--window", type=int, default=60)
+    _field_option(p, PipelineConfig, "volatility_window", "--window",
+                  default=PipelineConfig.volatility_window)
     p.add_argument("--uncentered", action="store_true",
                    help="use the uncentered root mean square instead of the sample std dev")
-    p.add_argument("--output-dir", default="regimevol-out")
+    _field_option(p, PipelineConfig, "output_dir", default=PipelineConfig.output_dir)
     p.set_defaults(func=_cmd_transform)
 
     p = sub.add_parser("test-unitroot", help="Perron detrend + Phillips-Perron test")
     p.add_argument("input")
-    p.add_argument("--break-date")
-    p.add_argument("--break-index", type=int)
-    p.add_argument("--specification", choices=[TREND_BREAK, NULL_BREAK], default=TREND_BREAK)
+    _field_option(p, PipelineConfig, "break_date")
+    _field_option(p, PipelineConfig, "break_index")
+    p.add_argument("--specification", choices=[TREND_BREAK, NULL_BREAK],
+                   default=PipelineConfig.detrend_specification)
     p.add_argument("--output")
     p.set_defaults(func=_cmd_test_unitroot)
 
     p = sub.add_parser("test-linearity", help="Taylor-expansion linearity tests")
     p.add_argument("input")
     p.add_argument("--ar-order", type=int, default=1)
-    p.add_argument("--significance", type=float, default=0.05)
+    _field_option(p, PipelineConfig, "significance", default=PipelineConfig.significance)
     p.add_argument("--output")
     p.set_defaults(func=_cmd_test_linearity)
 
-    p = sub.add_parser("fit", help="fit one model to a series CSV")
-    p.add_argument("kind", choices=["ar", "setar", "lstar", "estar", "nnet"])
+    # an option left out is not set, so the ModelRequest default applies
+    p = sub.add_parser("fit", help="fit one model to a series CSV",
+                       argument_default=argparse.SUPPRESS)
+    p.add_argument("kind", choices=pipeline.MODEL_KINDS)
     p.add_argument("input")
-    p.add_argument("--order", type=int, default=1)
-    p.add_argument("--regimes", type=int, default=2)
-    p.add_argument("--transitions", type=int, default=1)
-    p.add_argument("--threshold", choices=["time", "lagged_value"], default="time")
-    p.add_argument("--delay", type=int, default=1)
-    p.add_argument("--min-fraction", type=float, default=None)
-    p.add_argument("--gamma-lo", type=float, default=1.0)
-    p.add_argument("--gamma-hi", type=float, default=200.0)
-    p.add_argument("--gamma-step", type=float, default=None,
-                   help="exact arithmetic gamma grid step (default: coarse log grid)")
-    p.add_argument("--gamma-points", type=int, default=200)
-    p.add_argument("--hidden", type=int, default=2)
-    p.add_argument("--restarts", type=int, default=20)
-    p.add_argument("--raw-inputs", action="store_true",
-                   help="train the network on raw inputs (no standardization)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output-dir", default="regimevol-out")
+    for f in fields(ModelRequest)[1:]:  # every field after kind
+        if f.name == "threshold":
+            p.add_argument("--threshold", choices=THRESHOLD_KINDS)
+        elif f.name == "standardize":
+            p.add_argument("--raw-inputs", dest="standardize", action="store_false",
+                           help="train the network on raw inputs (no standardization)")
+        elif f.name == "gamma_step":
+            _field_option(p, ModelRequest, f.name,
+                          help="exact arithmetic gamma grid step (default: coarse log grid)")
+        else:
+            _field_option(p, ModelRequest, f.name)
+    _field_option(p, PipelineConfig, "seed", default=PipelineConfig.seed)
+    _field_option(p, PipelineConfig, "output_dir", default=PipelineConfig.output_dir)
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("compare", help="fit several models and rank them")
     p.add_argument("input")
     p.add_argument("--model", action="append", required=True,
                    help="e.g. ar:order=1 or setar:order=1,regimes=3 (repeatable)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output-dir", default="regimevol-out")
+    _field_option(p, PipelineConfig, "seed", default=PipelineConfig.seed)
+    _field_option(p, PipelineConfig, "output_dir", default=PipelineConfig.output_dir)
     p.set_defaults(func=_cmd_compare)
 
-    p = sub.add_parser("run", help="full pipeline from a config file or flags")
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--input")
-    p.add_argument("--break-date")
-    p.add_argument("--break-index", type=int)
-    p.add_argument("--window", type=int, default=60)
-    p.add_argument("--ar-max-order", type=int, default=20)
-    p.add_argument("--significance", type=float, default=0.05)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output-dir", default="regimevol-out")
+    # an option left out is not set, so the PipelineConfig default applies
+    p = sub.add_parser("run", help="full pipeline from a config file or flags",
+                       argument_default=argparse.SUPPRESS)
+    p.add_argument("--config", default=None, help="JSON config file")
+    _field_option(p, PipelineConfig, "input_path", "--input")
+    for name in ("break_date", "break_index"):
+        _field_option(p, PipelineConfig, name)
+    _field_option(p, PipelineConfig, "volatility_window", "--window")
+    for name in ("ar_max_order", "significance", "seed", "output_dir"):
+        _field_option(p, PipelineConfig, name)
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("simulate", help="simulate a saved model JSON")

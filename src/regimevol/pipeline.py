@@ -10,6 +10,7 @@ config the run is fully deterministic, including the JSON bytes on disk.
 from __future__ import annotations
 
 import datetime as dt
+import functools
 import os
 import types
 import typing
@@ -22,7 +23,7 @@ from .linearity import check_significance, terasvirta_first_order, terasvirta_ze
 from .neural import TrainConfig, train_nnet_ar
 from .regimes import (
     GammaGrid,
-    LAGGED_VALUE,
+    THRESHOLD_KINDS,
     TIME,
     ThresholdVariable,
     fit_ar,
@@ -36,17 +37,18 @@ from .stationarity import TREND_BREAK, perron_detrend, phillips_perron
 
 ENV_OUTPUT_DIR = "REGIMEVOL_OUTPUT_DIR"
 ENV_SEED = "REGIMEVOL_SEED"
+MODEL_KINDS = ("ar", "setar", "lstar", "estar", "nnet")
 
 
 @dataclass
 class ModelRequest:
     """One candidate model in the comparison set."""
 
-    kind: str  # ar | setar | lstar | estar | nnet
+    kind: str  # one of MODEL_KINDS
     order: int = 1
     regimes: int = 2          # setar regime count
     transitions: int = 1      # lstar/estar transition count
-    threshold: str = TIME     # time | lagged_value
+    threshold: str = TIME     # one of THRESHOLD_KINDS
     delay: int = 1
     min_fraction: float | None = None
     gamma_lo: float = 1.0
@@ -60,9 +62,9 @@ class ModelRequest:
     standardize: bool = True
 
     def __post_init__(self):
-        if self.kind not in ("ar", "setar", "lstar", "estar", "nnet"):
+        if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.threshold not in (TIME, LAGGED_VALUE):
+        if self.threshold not in THRESHOLD_KINDS:
             raise ValueError(f"unknown threshold variable {self.threshold!r}")
         if self.kind in ("lstar", "estar"):
             self.gamma_grid()  # a malformed grid fails here, before any stage runs
@@ -78,6 +80,17 @@ class ModelRequest:
         return cls(**payload)
 
 
+@functools.cache
+def field_types(cls) -> dict[str, tuple]:
+    """The types each field of ``cls`` is annotated with: ``X | None`` as
+    (X, NoneType), ``list[X]`` as (list,)."""
+    allowed = {}
+    for name, hint in typing.get_type_hints(cls).items():
+        union = typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
+        allowed[name] = tuple(typing.get_origin(t) or t for t in union)
+    return allowed
+
+
 def _check_payload(cls, payload: dict, where: str) -> None:
     """Reject a non-object, unknown keys and values of the wrong JSON type."""
     if not isinstance(payload, dict):
@@ -85,11 +98,8 @@ def _check_payload(cls, payload: dict, where: str) -> None:
     unknown = sorted(set(payload) - {f.name for f in fields(cls)})
     if unknown:
         raise ValueError(f"unknown key {', '.join(map(repr, unknown))} in {where}")
-    hints = typing.get_type_hints(cls)
     for key, value in payload.items():
-        hint = hints[key]
-        allowed = typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
-        allowed = tuple(typing.get_origin(t) or t for t in allowed)  # list[X] -> list
+        allowed = field_types(cls)[key]
         if float in allowed:
             allowed += (int,)
         if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
@@ -129,6 +139,8 @@ class PipelineConfig:
         check_significance(self.significance)
         if (self.break_date is None) == (self.break_index is None):
             raise ValueError("provide exactly one of break_date / break_index")
+        if not self.models:
+            raise ValueError("'models' must name at least one model")
         self.models = [
             m if isinstance(m, ModelRequest) else ModelRequest.from_dict(m) for m in self.models
         ]

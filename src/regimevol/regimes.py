@@ -37,6 +37,7 @@ from .series import lag_design, series_values
 
 TIME = "time"
 LAGGED_VALUE = "lagged_value"
+THRESHOLD_KINDS = (TIME, LAGGED_VALUE)
 
 LOGISTIC = "logistic"
 EXPONENTIAL = "exponential"
@@ -76,13 +77,6 @@ _WORKERS = _worker_count(
     os.environ,
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1,
 )
-# Grid threads run their batched LAPACK calls one at a time.  A batch is
-# thousands of tiny factorizations, and two batches at once in two threads
-# took 2.4 times as long as one after the other (2-vCPU VM, OpenBLAS on one
-# thread).  A 3-regime SETAR grid that solved every pair at ~2,000 rows took
-# 0.47-0.56 s on one thread, 0.62-0.66 s on two without this lock and
-# 0.36-0.53 s with it.
-_LAPACK = threading.Lock()
 
 
 def _masked_logistic(arg: np.ndarray) -> np.ndarray:
@@ -120,26 +114,6 @@ def _transition_weights(kind: str, z, gamma, c, out=None):
     return np.subtract(1.0, out, out=out)
 
 
-def logistic_transition(z, gamma: float, c: float):
-    """G(z; gamma, c) = 1 / (1 + exp(-gamma (z - c))), stable for large |arg|."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    out = _masked_logistic(gamma * (np.asarray(z, dtype=float) - c))
-    if out.ndim == 0 or np.isscalar(z):
-        return float(out)
-    return out
-
-
-def exponential_transition(z, gamma: float, c: float):
-    """G(z; gamma, c) = 1 - exp(-gamma (z - c)^2)."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    out = _transition_weights(EXPONENTIAL, np.asarray(z, dtype=float), gamma, c)
-    if out.ndim == 0 or np.isscalar(z):
-        return float(out)
-    return out
-
-
 @dataclass(frozen=True)
 class TransitionSpec:
     """One smooth transition: kind, steepness gamma and location c."""
@@ -155,9 +129,23 @@ class TransitionSpec:
             raise ValueError("gamma must be positive")
 
     def weights(self, z):
+        """G(z; gamma, c) at each of ``z``; a float for a scalar ``z``."""
+        z = np.asarray(z, dtype=float)
         if self.kind == LOGISTIC:
-            return logistic_transition(z, self.gamma, self.c)
-        return exponential_transition(z, self.gamma, self.c)
+            out = _masked_logistic(self.gamma * (z - self.c))
+        else:
+            out = _transition_weights(EXPONENTIAL, z, self.gamma, self.c)
+        return float(out) if out.ndim == 0 else out
+
+
+def logistic_transition(z, gamma: float, c: float):
+    """G(z; gamma, c) = 1 / (1 + exp(-gamma (z - c))), stable for large |arg|."""
+    return TransitionSpec(LOGISTIC, gamma, c).weights(z)
+
+
+def exponential_transition(z, gamma: float, c: float):
+    """G(z; gamma, c) = 1 - exp(-gamma (z - c)^2)."""
+    return TransitionSpec(EXPONENTIAL, gamma, c).weights(z)
 
 
 @dataclass(frozen=True)
@@ -168,7 +156,7 @@ class ThresholdVariable:
     delay: int = 1
 
     def __post_init__(self):
-        if self.kind not in (TIME, LAGGED_VALUE):
+        if self.kind not in THRESHOLD_KINDS:
             raise ValueError(f"unknown threshold variable kind {self.kind!r}")
         if self.kind == LAGGED_VALUE and self.delay < 1:
             raise ValueError("delay must be >= 1")
@@ -426,6 +414,8 @@ class OrderSelection:
 
 def select_ar_order(series, max_order: int = 20) -> OrderSelection:
     """Score AR(0..max_order) on the common sample and pick the argmins."""
+    if max_order < 0:
+        raise ValueError(f"max_order must be non-negative, got {max_order}")
     x = series_values(series)
     n = len(x)
     if n <= max_order + 1:
@@ -527,8 +517,7 @@ def _screened_rss(gram: np.ndarray, rhs: np.ndarray, yy, feasible=True) -> np.nd
     passed = _certified_well_conditioned(gram)
     doubtful = ~passed
     if np.any(doubtful):
-        with _LAPACK:
-            eigs = np.linalg.eigvalsh(gram[doubtful])
+        eigs = np.linalg.eigvalsh(gram[doubtful])
         passed[doubtful] = (eigs[:, 0] > eigs[:, -1] * _EIG_RATIO) & (eigs[:, -1] > 0)
     feasible = feasible & passed
     every = np.all(feasible)
@@ -536,8 +525,7 @@ def _screened_rss(gram: np.ndarray, rhs: np.ndarray, yy, feasible=True) -> np.nd
         # usually every candidate passes, and the stack is solved uncopied
         gram, rhs = gram[feasible], rhs[feasible]
         yy = np.broadcast_to(yy, feasible.shape)[feasible]
-    with _LAPACK:
-        beta = np.linalg.solve(gram, rhs[..., None])[..., 0]
+    beta = np.linalg.solve(gram, rhs[..., None])[..., 0]
     vals = yy - np.einsum("mk,mk->m", rhs, beta)
     vals = np.where(np.isfinite(vals), np.maximum(vals, 0.0), np.inf)
     if every:
@@ -605,14 +593,13 @@ def _first_min(
 
     The chunks are independent, so ``workers`` threads (default
     ``_WORKERS``) score them side by side: numpy releases the GIL in the
-    products and ``exp``, and ``_screened_rss`` runs its batched LAPACK
-    calls one at a time under ``_LAPACK``.  ``score`` must therefore be safe
-    to call from several threads.  Each chunk's first minimum is reduced in
-    chunk order, so the winner and its RSS are those of a serial scan, to
-    the bit.  With one worker or one chunk the same loop runs through plain
-    ``map``, on the calling thread.  An exception in a chunk is re-raised
-    (the first in chunk order), the chunks still pending are cancelled, and
-    every thread is joined before this returns.
+    products, ``exp`` and the batched LAPACK calls.  ``score`` must
+    therefore be safe to call from several threads.  Each chunk's first
+    minimum is reduced in chunk order, so the winner and its RSS are those
+    of a serial scan, to the bit.  With one worker or one chunk the same
+    loop runs through plain ``map``, on the calling thread.  An exception
+    in a chunk is re-raised (the first in chunk order), the chunks still
+    pending are cancelled, and every thread is joined before this returns.
     """
     workers = workers or _WORKERS
     chunk = chunk or _GRID_CHUNK

@@ -14,13 +14,19 @@ evaluation of the continued fraction for the tail (Numerical Recipes, 3rd
 ed., section 6.4), switching to 1 - I_{1-x}(b, a) at and above
 x = (a+1)/(a+b+2), where the direct fraction converges slowly.  The t and F
 p-values pass 1 - x as t^2 / (df + t^2) and q F / (df + q F), free of the
-cancellation in 1.0 - x, so p stays accurate near 1 for tiny statistics.  Over
-1 <= df <= 10,000, numerator df 1..20 and statistics 1e-8..1e4, its
-relative error against 40-digit ``mpmath`` values at the same x was at
-most 4.5e-13 wherever the result exceeds 1e-300 (26,500 cases), and the
-fraction took at most 60 terms.  Taking ln B(a, b) from plain
-``math.lgamma`` differences loses about lgamma(a) * eps instead: 5.3e-11
-on 8,000 of those cases.
+cancellation in 1.0 - x, so p stays accurate near 1 for tiny statistics.
+
+Over 1 <= df <= 10,000, numerator df 1..20 and statistics 1e-8..1e4
+(80,000 random cases of each test), the relative error of ``t_pvalue`` and
+``f_sf`` against 50-digit ``mpmath.betainc`` was at most 7.3e-13 at the x
+(or, when swapped, the 1 - x) that ``_betainc`` receives, and at most
+9.8e-13 against the exact p-value of the statistic, wherever the p-value
+exceeds 1e-300.  The largest errors sit at df of 6,000-10,000 and p of
+about 0.01-0.2, on the direct fraction just below the switch; there
+a = df/2 also multiplies the rounding of x in a ln x.  The fraction took
+at most 67 terms.  Taking ln B(a, b) from plain ``math.lgamma``
+differences loses about lgamma(a) * eps instead: 5.3e-11 on 8,000 of
+those cases.
 """
 
 from __future__ import annotations

@@ -2,13 +2,17 @@ import datetime as dt
 import json
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regimevol import PipelineConfig, run_pipeline
-from regimevol.cli import main
-from regimevol.errors import PipelineError
+from regimevol.cli import _given, _parse_model_spec, build_parser, main
+from regimevol.errors import PipelineError, RegimevolError
+from regimevol.pipeline import MODEL_KINDS, ModelRequest, field_types
 from tests.conftest import make_regime_model
 
 
@@ -151,6 +155,10 @@ class TestRunPipeline:
             PipelineConfig(input_path=price_csv, break_date="2006-01-05", volatility_window=1)
         with pytest.raises(ValueError):
             PipelineConfig(input_path=price_csv, break_date="2006-01-05", significance=0.7)
+
+    def test_empty_model_list_is_a_config_error(self, price_csv):
+        with pytest.raises(ValueError, match="'models'"):
+            PipelineConfig(input_path=price_csv, break_date="2006-01-05", models=[])
 
 
 class TestCliCommands:
@@ -411,6 +419,26 @@ class TestCliCommands:
                  "--model", "lstar:gamma_lo=nan", "--output-dir", "{tmp}/out"],
                 "compare", "gamma grid lo", id="compare-lstar-nan-gamma-lo",
             ),
+            pytest.param(
+                ["compare", "{tmp}/series.csv", "--model", "ar:order=1",
+                 "--model", "ar:foo=x", "--output-dir", "{tmp}/out"],
+                "compare", "'foo'", id="compare-unknown-spec-key",
+            ),
+            # the kind goes before the colon; as a key it would turn this AR into a SETAR
+            pytest.param(
+                ["compare", "{tmp}/series.csv", "--model", "ar:order=2",
+                 "--model", "ar:order=1,kind=setar", "--output-dir", "{tmp}/out"],
+                "compare", "'kind'", id="compare-kind-as-a-spec-key",
+            ),
+            pytest.param(
+                ["run", "--input", "{tmp}/prices.csv", "--break-index", "150",
+                 "--ar-max-order", "-3", "--output-dir", "{tmp}/out"],
+                "linearity", "max_order", id="run-negative-ar-max-order",
+            ),
+            pytest.param(
+                ["run", "--config", "{tmp}/no-models.json"],
+                "config", "'models'", id="config-empty-model-list",
+            ),
             # a 1e-13 step asks for about 2e15 gammas; the allocation fails
             # at once, before any memory is used
             pytest.param(
@@ -441,6 +469,7 @@ class TestCliCommands:
             json.dumps({**config, "volatility_window": "60"})
         )
         (tmp_path / "int-models.json").write_text(json.dumps({**config, "models": 5}))
+        (tmp_path / "no-models.json").write_text(json.dumps({**config, "models": []}))
         (tmp_path / "ar-model.json").write_text(
             json.dumps(make_regime_model("ar", [[0.0, 0.5]]).to_dict())
         )
@@ -503,6 +532,25 @@ class TestCliCommands:
         assert captured.out.startswith("usage: regimevol")
         assert captured.err == ""
 
+    def test_fit_flags_left_out_keep_the_request_defaults(self):
+        args = build_parser().parse_args(
+            ["fit", "lstar", "s.csv", "--delay", "2", "--gamma-step", "0.5", "--raw-inputs"]
+        )
+        assert _given(args, ModelRequest) == {
+            "kind": "lstar", "delay": 2, "gamma_step": 0.5, "standardize": False,
+        }
+        assert ModelRequest(**_given(args, ModelRequest)) == ModelRequest(
+            kind="lstar", delay=2, gamma_step=0.5, standardize=False
+        )
+
+    def test_run_flags_left_out_keep_the_config_defaults(self):
+        args = build_parser().parse_args(
+            ["run", "--input", "p.csv", "--break-index", "150", "--window", "30"]
+        )
+        assert _given(args, PipelineConfig) == {
+            "input_path": "p.csv", "break_index": 150, "volatility_window": 30,
+        }
+
     def test_env_override_of_seed_and_output_dir(self, price_csv, break_date, tmp_path, monkeypatch):
         override_dir = tmp_path / "env-out"
         monkeypatch.setenv("REGIMEVOL_OUTPUT_DIR", str(override_dir))
@@ -524,3 +572,30 @@ class TestCliCommands:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["observations"] == 300
+
+
+_SPEC_KEYS = [f.name for f in fields(ModelRequest)] + ["foo", ""]  # "" is an empty fragment
+_SPEC_VALUES = ["nan", "inf", "-1", "0", "1e3", "x", "", "true"]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    kind=st.sampled_from(MODEL_KINDS + ("x",)),
+    pairs=st.lists(
+        st.tuples(st.sampled_from(_SPEC_KEYS), st.sampled_from(_SPEC_VALUES)), max_size=4
+    ),
+)
+def test_a_model_spec_is_a_typed_request_or_one_regimevol_error(kind, pairs):
+    spec = kind + ":" + ",".join(f"{key}={value}" if key else "" for key, value in pairs)
+    try:
+        request = _parse_model_spec(spec)
+    except RegimevolError:
+        return
+    assert isinstance(request, ModelRequest)
+    assert request.kind == kind
+    for key, _ in pairs:
+        assert key not in ("kind", "foo")
+        if key:
+            assert isinstance(getattr(request, key), field_types(ModelRequest)[key][0])
+        else:
+            assert spec == kind + ":"  # a lone empty fragment is an empty spec

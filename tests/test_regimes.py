@@ -84,6 +84,18 @@ class TestTransitionFunctions:
         assert out.tobytes() == expected.tobytes()
         assert regimes._transition_weights(kind, z, gamma, c).tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("kind", ["logistic", "exponential"])
+    def test_every_entry_point_gives_the_same_bits(self, kind):
+        z = np.random.default_rng(5).normal(size=64)
+        if kind == "logistic":
+            entry, expected = logistic_transition, regimes._masked_logistic(3.7 * (z - 0.2))
+        else:
+            entry, expected = exponential_transition, regimes._transition_weights(kind, z, 3.7, 0.2)
+        for weights in (entry(z, 3.7, 0.2), TransitionSpec(kind, 3.7, 0.2).weights(z)):
+            assert weights.tobytes() == expected.tobytes()
+        scalar = entry(float(z[0]), 3.7, 0.2)
+        assert type(scalar) is float and scalar == expected[0]
+
     def test_gamma_must_be_positive(self):
         with pytest.raises(ValueError):
             logistic_transition(0.0, 0.0, 0.0)
@@ -140,6 +152,11 @@ class TestSelectArOrder:
         x = rng.normal(size=120)
         table = select_ar_order(x, 10)
         assert [row[0] for row in table.rows] == list(range(11))
+
+    def test_negative_max_order_is_named(self):
+        x = np.random.default_rng(0).normal(size=50)
+        with pytest.raises(ValueError, match="max_order must be non-negative, got -1"):
+            select_ar_order(x, -1)
 
 
 class TestFitSetar:
