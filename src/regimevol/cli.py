@@ -158,10 +158,8 @@ def _run_config(args) -> PipelineConfig:
 
 
 def _cmd_run(args) -> int:
-    try:
+    with pipeline._stage("config"):
         config = _run_config(args)
-    except (RegimevolError, ValueError) as exc:
-        raise PipelineError("config", str(exc)) from exc
     artifacts = pipeline.run_pipeline(config)
     for name in sorted(artifacts):
         print(f"{name}: {artifacts[name]}")
@@ -170,7 +168,9 @@ def _cmd_run(args) -> int:
 
 def _cmd_simulate(args) -> int:
     model = dataio.load_model_json(args.model)
-    values = simulate_model(model, args.length, args.noise_sd, seed=args.seed, burn_in=args.burn_in)
+    # an option left out is not set, so the regimes.simulate default applies
+    options = {name: getattr(args, name) for name in ("seed", "burn_in") if hasattr(args, name)}
+    values = simulate_model(model, args.length, args.noise_sd, **options)
     if args.output:
         dataio.write_series_csv(args.output, values)
         print(f"wrote {args.output} ({len(values)} rows)")
@@ -234,8 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("test-unitroot", help="Perron detrend + Phillips-Perron test")
     p.add_argument("input")
-    _field_option(p, PipelineConfig, "break_date")
-    _field_option(p, PipelineConfig, "break_index")
+    breaks = p.add_mutually_exclusive_group(required=True)
+    for name in ("break_date", "break_index"):
+        _field_option(breaks, PipelineConfig, name)
     p.add_argument("--specification", choices=[TREND_BREAK, NULL_BREAK],
                    default=PipelineConfig.detrend_specification)
     p.add_argument("--output")
@@ -243,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("test-linearity", help="Taylor-expansion linearity tests")
     p.add_argument("input")
-    p.add_argument("--ar-order", type=int, default=1)
+    p.add_argument("--ar-order", type=int, help="default: the AIC choice, as in run")
     _field_option(p, PipelineConfig, "significance", default=PipelineConfig.significance)
     p.add_argument("--output")
     p.set_defaults(func=_cmd_test_linearity)
@@ -288,13 +289,14 @@ def build_parser() -> argparse.ArgumentParser:
         _field_option(p, PipelineConfig, name)
     p.set_defaults(func=_cmd_run)
 
-    p = sub.add_parser("simulate", help="simulate a saved model JSON")
+    p = sub.add_parser("simulate", help="simulate a saved model JSON",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("model")
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--noise-sd", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--burn-in", type=int, default=100)
-    p.add_argument("--output")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--burn-in", type=int)
+    p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_simulate)
 
     return parser
@@ -313,10 +315,7 @@ def main(argv=None) -> int:
         # the message already starts with "stage=<name>: "
         print(f"ERROR {exc}", file=sys.stderr)
         return 1
-    except RegimevolError as exc:
-        print(f"ERROR stage={args.command}: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (RegimevolError, ValueError) as exc:
         print(f"ERROR stage={args.command}: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:

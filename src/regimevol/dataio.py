@@ -182,18 +182,9 @@ def load_model_json(path):
     return model_from_dict(payload)
 
 
-def emit_plot_data(obj, path, series=None) -> None:
-    """Write plot-ready CSV for a series or a fitted model.
-
-    Series objects produce (index-or-date, value) rows.  A model, given the
-    series it was fitted on, produces the columns of its ``fitted_columns``:
-    per-row fitted values, plus actuals, residuals and regime membership or
-    transition weights for the regime models.
-    """
-    if series is not None:
-        columns = obj.fitted_columns(series)
-        _write_csv(path, list(columns), zip(*(c.tolist() for c in columns.values())))
-    elif isinstance(obj, PriceSeries):
-        write_series_csv(path, obj.values, index=[d.isoformat() for d in obj.timestamps], header=("date", "value"))
-    else:
-        write_series_csv(path, series_values(obj))
+def emit_plot_data(model, path, series) -> None:
+    """Write the plot-ready CSV of a model fitted on ``series``: the columns
+    of its ``fitted_columns``, per-row fitted values plus actuals, residuals
+    and regime membership or transition weights for the regime models."""
+    columns = model.fitted_columns(series)
+    _write_csv(path, list(columns), zip(*(c.tolist() for c in columns.values())))

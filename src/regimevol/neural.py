@@ -4,7 +4,8 @@ The network maps the last m values of a series through D logistic hidden
 units (optionally plus direct input-output connections) to a one-step-ahead
 prediction.  Training is full-batch gradient descent on half the residual
 sum of squares with a backtracking line search and multiple random restarts;
-gradients are exact and analytic.
+gradients are exact and analytic.  By default training runs on the
+standardized series and the weights are mapped back to raw units exactly.
 """
 
 from __future__ import annotations
@@ -217,12 +218,15 @@ def gradient(model: NnetArModel, lag_matrix: np.ndarray, targets: np.ndarray) ->
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Training settings.  ``standardize``, the default, trains on (x - mean) / std
+    and maps the weights back to raw units: descent stalls on raw inputs below ~0.1."""
+
     restarts: int = 20
     max_iters: int = 2000
     seed: int = 0
     init_scale: float = 0.5
     skip: bool = False
-    standardize: bool = False
+    standardize: bool = True
     tol: float = 1e-8
 
     def __post_init__(self):

@@ -23,9 +23,8 @@ from .linearity import check_significance, terasvirta_first_order, terasvirta_ze
 from .neural import TrainConfig, train_nnet_ar
 from .regimes import (
     GammaGrid,
-    THRESHOLD_KINDS,
-    TIME,
     ThresholdVariable,
+    checked_min_fraction,
     fit_ar,
     fit_lstar,
     fit_setar,
@@ -48,26 +47,30 @@ class ModelRequest:
     order: int = 1
     regimes: int = 2          # setar regime count
     transitions: int = 1      # lstar/estar transition count
-    threshold: str = TIME     # one of THRESHOLD_KINDS
-    delay: int = 1
+    threshold: str = ThresholdVariable.kind
+    delay: int = ThresholdVariable.delay
     min_fraction: float | None = None
-    gamma_lo: float = 1.0
-    gamma_hi: float = 200.0
-    gamma_step: float | None = None
-    gamma_points: int = 200
+    gamma_lo: float = GammaGrid.lo
+    gamma_hi: float = GammaGrid.hi
+    gamma_step: float | None = GammaGrid.step
+    gamma_points: int = GammaGrid.points
     hidden: int = 2
-    restarts: int = 20
-    # gradient descent stalls on raw inputs below ~O(0.1); training runs on
-    # standardized inputs and the weights are mapped back exactly
-    standardize: bool = True
+    restarts: int = TrainConfig.restarts
+    standardize: bool = TrainConfig.standardize
 
     def __post_init__(self):
+        # a malformed setting fails here, before any stage runs
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.threshold not in THRESHOLD_KINDS:
-            raise ValueError(f"unknown threshold variable {self.threshold!r}")
-        if self.kind in ("lstar", "estar"):
-            self.gamma_grid()  # a malformed grid fails here, before any stage runs
+        self.threshold_variable()
+        if self.kind == "setar":
+            checked_min_fraction(self.min_fraction, self.regimes)
+        elif self.kind in ("lstar", "estar"):
+            checked_min_fraction(self.min_fraction, self.transitions + 1)
+            self.gamma_grid()
+
+    def threshold_variable(self) -> ThresholdVariable:
+        return ThresholdVariable(self.threshold, self.delay)
 
     def gamma_grid(self) -> GammaGrid:
         return GammaGrid(
@@ -185,11 +188,9 @@ def unitroot(
 ) -> dict:
     """Perron detrending at the break plus Phillips-Perron on the residuals.
 
-    The break is given by exactly one of ``break_date`` (ISO date, looked up
-    in the price dates) or the 1-indexed ``break_index``.
+    The break is the 1-indexed ``break_index``, or when that is None
+    ``break_date`` (an ISO date, looked up in the price dates).
     """
-    if (break_date is None) == (break_index is None):
-        raise ValueError("provide exactly one of break_date / break_index")
     if break_index is None:
         target = dt.date.fromisoformat(break_date)
         if target not in prices.timestamps:
@@ -215,7 +216,7 @@ def unitroot(
     return payload
 
 
-def linearity(series, significance: float, path=None, ar_order=None, ar_max_order: int = 20) -> dict:
+def linearity(series, significance: float, path=None, ar_order=None, ar_max_order=PipelineConfig.ar_max_order) -> dict:
     """Teräsvirta zero- and first-order tests of ``series``.
 
     The zero-order test runs at ``ar_order`` and the first-order test at
@@ -223,6 +224,7 @@ def linearity(series, significance: float, path=None, ar_order=None, ar_max_orde
     among AR(0..ar_max_order), raised to at least 1, and the payload carries
     the order-selection table.
     """
+    check_significance(significance)  # before the order search can fail on its own
     payload: dict = {"significance": significance}
     if ar_order is None:
         table = select_ar_order(series, ar_max_order)
@@ -246,7 +248,7 @@ def linearity(series, significance: float, path=None, ar_order=None, ar_max_orde
 
 
 def _fit_model(request: ModelRequest, series, seed: int):
-    tv = ThresholdVariable(kind=request.threshold, delay=request.delay)
+    tv = request.threshold_variable()
     if request.kind == "ar":
         return fit_ar(series, request.order)
     if request.kind == "setar":
@@ -267,13 +269,8 @@ def _fit_model(request: ModelRequest, series, seed: int):
             min_fraction=request.min_fraction,
             transition="logistic" if request.kind == "lstar" else "exponential",
         )
-    result = train_nnet_ar(
-        series,
-        request.order,
-        request.hidden,
-        TrainConfig(restarts=request.restarts, seed=seed, standardize=request.standardize),
-    )
-    return result.model
+    config = TrainConfig(restarts=request.restarts, seed=seed, standardize=request.standardize)
+    return train_nnet_ar(series, request.order, request.hidden, config).model
 
 
 def fit(request: ModelRequest, series, seed: int, model_path=None, fitted_path=None):

@@ -555,15 +555,21 @@ def _min_count(rows: int, min_fraction: float, order: int) -> int:
     return max(int(np.ceil(min_fraction * rows)), order + 2)
 
 
+def checked_min_fraction(min_fraction: float | None, n_regimes: int) -> float:
+    """The share of rows each of ``n_regimes`` regimes must keep: ``min_fraction`` if it
+    is finite and non-negative, by default 0.15 for 2 regimes and 0.10 for 3."""
+    if min_fraction is None:
+        return 0.15 if n_regimes == 2 else 0.10
+    if not 0 <= min_fraction < np.inf:
+        raise ValueError(f"min_fraction must be finite and non-negative, got {min_fraction}")
+    return min_fraction
+
+
 def _grid_setup(series, order: int, tv: ThresholdVariable, min_fraction, n_regimes: int):
     """What both threshold searches start from: x, design, y, z, the stable
     sort of z, z sorted, the feasible split positions and ``min_count``, the
-    fewest rows a regime may keep (``min_fraction`` of them, by default 0.15
-    for 2 regimes and 0.10 for 3)."""
-    if min_fraction is None:
-        min_fraction = 0.15 if n_regimes == 2 else 0.10
-    elif not 0 <= min_fraction < np.inf:
-        raise ValueError(f"min_fraction must be finite and non-negative, got {min_fraction}")
+    fewest rows a regime may keep (see :func:`checked_min_fraction`)."""
+    min_fraction = checked_min_fraction(min_fraction, n_regimes)
     x = series_values(series)
     design, y = lag_design(x, order)
     rows = len(y)

@@ -227,7 +227,6 @@ class TestCliCommands:
             input_path=price_csv,
             break_date=break_date,
             volatility_window=30,
-            ar_max_order=5,
             models=[
                 {"kind": "setar", "order": 1, "regimes": 3},
                 {"kind": "nnet", "order": 1, "hidden": 2, "restarts": 2},
@@ -241,6 +240,7 @@ class TestCliCommands:
         assert main(["transform", price_csv, "--window", "30", "--output-dir", str(cli)]) == 0
         assert main(["test-unitroot", price_csv, "--break-date", break_date,
                      "--output", str(cli / "unitroot.json")]) == 0
+        assert main(["test-linearity", vol, "--output", str(cli / "linearity.json")]) == 0
         assert main(["fit", "setar", vol, "--regimes", "3",
                      "--output-dir", str(cli / "setar")]) == 0
         assert main(["fit", "nnet", vol, "--restarts", "2", "--seed", "3",
@@ -251,6 +251,7 @@ class TestCliCommands:
             "returns": cli / "returns.csv",
             "volatility": cli / "volatility.csv",
             "unitroot": cli / "unitroot.json",
+            "linearity": cli / "linearity.json",
             "model_01_setar3_p1": cli / "setar" / "model.json",
             "fitted_01_setar3_p1": cli / "setar" / "fitted.csv",
             "model_02_nnet1_2": cli / "nnet" / "model.json",
@@ -439,6 +440,15 @@ class TestCliCommands:
                 ["run", "--config", "{tmp}/no-models.json"],
                 "config", "'models'", id="config-empty-model-list",
             ),
+            # a later model's setting fails before the first stage runs
+            pytest.param(
+                ["run", "--config", "{tmp}/negative-min-fraction.json"],
+                "config", "min_fraction", id="config-second-model-negative-min-fraction",
+            ),
+            pytest.param(
+                ["run", "--config", "{tmp}/zero-delay.json"],
+                "config", "delay", id="config-second-model-zero-delay",
+            ),
             # a 1e-13 step asks for about 2e15 gammas; the allocation fails
             # at once, before any memory is used
             pytest.param(
@@ -479,6 +489,13 @@ class TestCliCommands:
         (tmp_path / "zero-gamma-points.json").write_text(
             json.dumps({**config, "models": [{"kind": "lstar", "gamma_points": 0}]})
         )
+        (tmp_path / "negative-min-fraction.json").write_text(json.dumps({
+            **config, "models": [{"kind": "ar"}, {"kind": "setar", "min_fraction": -0.5}],
+        }))
+        (tmp_path / "zero-delay.json").write_text(json.dumps({
+            **config,
+            "models": [{"kind": "ar"}, {"kind": "lstar", "threshold": "lagged_value", "delay": 0}],
+        }))
         values = [f"{i},{0.01 + 0.001 * (i % 7)}" for i in range(1, 61)]
         (tmp_path / "series.csv").write_text("\n".join(["index,value"] + values) + "\n")
         with open(price_csv) as handle:
@@ -497,6 +514,8 @@ class TestCliCommands:
         assert err_lines[0].count("stage=") == 1
         assert fragment in err_lines[0]
         assert "Traceback" not in err
+        if stage == "config":
+            assert not (tmp_path / "run-out").exists()
 
     @pytest.mark.parametrize(
         "argv, stage, fragment",
@@ -510,6 +529,13 @@ class TestCliCommands:
             pytest.param(["simulate", "model.json"], "simulate",
                          "the following arguments are required: --length", id="simulate-no-length"),
             pytest.param([], "usage", "required: command", id="no-subcommand"),
+            pytest.param(["test-unitroot", "p.csv"], "test-unitroot",
+                         "one of the arguments --break-date --break-index is required",
+                         id="test-unitroot-no-break"),
+            pytest.param(["test-unitroot", "p.csv", "--break-date", "2006-06-01",
+                          "--break-index", "150"], "test-unitroot",
+                         "argument --break-index: not allowed with argument --break-date",
+                         id="test-unitroot-two-breaks"),
         ],
     )
     def test_usage_error_is_one_error_line(self, argv, stage, fragment, capsys):
@@ -599,3 +625,39 @@ def test_a_model_spec_is_a_typed_request_or_one_regimevol_error(kind, pairs):
             assert isinstance(getattr(request, key), field_types(ModelRequest)[key][0])
         else:
             assert spec == kind + ":"  # a lone empty fragment is an empty spec
+
+
+_RUN_KEYS = [f.name for f in fields(PipelineConfig)]
+_MODEL_KEYS = [f.name for f in fields(ModelRequest)]
+_CONFIG_VALUES = [
+    float("nan"), float("inf"), float("-inf"), -1, 0, 1e9, 10**9, "x", "", True, None,
+]
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(
+    kind=st.sampled_from(MODEL_KINDS),
+    target=st.one_of(
+        st.tuples(st.just("run"), st.sampled_from(_RUN_KEYS)),
+        st.tuples(st.just("model"), st.sampled_from(_MODEL_KEYS)),
+    ),
+    value=st.sampled_from(_CONFIG_VALUES),
+)
+def test_a_run_config_is_a_config_or_one_value_error(kind, target, value):
+    # one run key, or one key of the second model, set to a hostile value
+    payload = {
+        "input_path": "prices.csv",
+        "break_index": 150,
+        "models": [{"kind": "ar"}, {"kind": kind}],
+    }
+    where, key = target
+    if where == "run":
+        payload[key] = value
+    else:
+        payload["models"][1][key] = value
+    try:
+        config = PipelineConfig.from_dict(payload)
+    except (ValueError, RegimevolError):
+        return
+    assert isinstance(config, PipelineConfig)
+    assert all(isinstance(m, ModelRequest) for m in config.models)

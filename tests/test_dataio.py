@@ -119,7 +119,7 @@ class TestEmitPlotData:
         r = ReturnSeries(values=np.random.default_rng(0).normal(0, 0.01, 100), origin_length=101)
         v = realized_volatility(r, 10)
         path = tmp_path / "vol.csv"
-        emit_plot_data(v, path)
+        write_series_csv(path, v)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "index,value"
         assert len(lines) - 1 == len(v)

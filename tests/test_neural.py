@@ -175,9 +175,18 @@ class TestTraining:
     def test_standardize_flag_round_trips_weights(self):
         gen = make_regime_model("ar", [[5.0, 0.3]])  # large level
         x = simulate(gen, 200, 0.5, seed=3)
-        raw = train_nnet_ar(x, 1, 2, TrainConfig(restarts=2, max_iters=800, seed=1))
+        raw = train_nnet_ar(x, 1, 2, TrainConfig(restarts=2, max_iters=800, seed=1, standardize=False))
         std = train_nnet_ar(x, 1, 2, TrainConfig(restarts=2, max_iters=800, seed=1, standardize=True))
         # destandardized weights must predict in raw units
         fitted, _ = std.model.one_step(x)
         assert np.all(np.isfinite(fitted))
         assert std.rss <= raw.rss * 1.5  # standardization should not hurt badly
+
+    def test_training_standardizes_by_default(self):
+        gen = make_regime_model("ar", [[0.004, 0.6]])  # the scale of daily volatility
+        x = simulate(gen, 200, 0.002, seed=4)
+        default = train_nnet_ar(x, 1, 2, TrainConfig(restarts=2))
+        explicit = train_nnet_ar(x, 1, 2, TrainConfig(restarts=2, standardize=True))
+        assert np.array_equal(default.model.to_vector(), explicit.model.to_vector())
+        assert default.rss == explicit.rss
+        assert default.restart_index == explicit.restart_index
