@@ -80,11 +80,11 @@ def _given(args, cls) -> dict:
 
 
 def _cmd_fit(args) -> int:
+    request = ModelRequest(**_given(args, ModelRequest))
     values = dataio.read_series_csv(args.input)
     dataio.make_output_dir(args.output_dir)
     model_path = os.path.join(args.output_dir, "model.json")
     fitted_path = os.path.join(args.output_dir, "fitted.csv")
-    request = ModelRequest(**_given(args, ModelRequest))
     pipeline.fit(request, values, args.seed, model_path, fitted_path)
     print(f"wrote {model_path} and {fitted_path}")
     return 0

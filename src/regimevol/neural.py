@@ -4,7 +4,11 @@ The network maps the last m values of a series through D logistic hidden
 units (optionally plus direct input-output connections) to a one-step-ahead
 prediction.  Training is full-batch gradient descent on half the residual
 sum of squares with a backtracking line search and multiple random restarts;
-gradients are exact and analytic.  By default training runs on the
+gradients are exact and analytic.  The restarts descend in lockstep: each
+descent step makes one gradient call, and each line-search round one forward
+call, for all restarts still going, and a restart that stops leaves the
+batch.  Memory is O(restarts x hidden units x rows) up to a cap, past which
+the restarts descend in groups.  By default training runs on the
 standardized series and the weights are mapped back to raw units exactly.
 """
 
@@ -21,6 +25,14 @@ from .series import lag_design, series_values
 
 _ARMIJO = 1e-4
 _MIN_STEP = 1e-18
+# a line-search round tries a step and its next two halvings: on the default
+# network a restart takes the first, second or third about equally often
+_HALVINGS = 0.5 ** np.arange(3)
+# restarts descend in groups whose line-search rounds hold at most this many
+# activations (512 KiB an array), which bounds memory on long series; on 2,000
+# rows, 20 restarts of nnet(1, 2) ran faster in groups of 5 than all at once.
+# Up to ~540 rows they make one group
+_BATCH_VALUES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -87,8 +99,8 @@ class NnetArModel:
         x = series_values(series)
         if len(x) <= self.n_inputs:
             raise SeriesTooShort(f"need more than {self.n_inputs} observations")
-        lag_matrix, targets = _lag_inputs(x, self.n_inputs)
-        fitted = predict(self, lag_matrix)
+        inputs, targets = _lag_inputs(x, self.n_inputs)
+        fitted = _output(self, inputs)
         return fitted, targets - fitted
 
     def step(self, history, t: float) -> float:
@@ -134,14 +146,15 @@ def _n_weights(m: int, d: int, skip: bool) -> int:
 
 def _unpack(theta: np.ndarray, m: int, d: int, skip: bool):
     """Views of the output bias (0-d), output weights, hidden biases, hidden
-    weights (m, D) and skip weights (None without skip) in ``theta``."""
+    weights (m, D) and skip weights (None without skip) in ``theta``.  A
+    (restarts, weights) array gives every view a leading restart axis."""
     hidden_end = 1 + 2 * d + m * d
     return (
-        theta[:1].reshape(()),
-        theta[1 : 1 + d],
-        theta[1 + d : 1 + 2 * d],
-        theta[1 + 2 * d : hidden_end].reshape(m, d),
-        theta[hidden_end:] if skip else None,
+        theta[..., 0],
+        theta[..., 1 : 1 + d],
+        theta[..., 1 + d : 1 + 2 * d],
+        theta[..., 1 + 2 * d : hidden_end].reshape(theta.shape[:-1] + (m, d)),
+        theta[..., hidden_end:] if skip else None,
     )
 
 
@@ -154,46 +167,68 @@ def _pack(parts, m: int, d: int, skip: bool) -> np.ndarray:
     return theta
 
 
+def _hidden_layer(theta: np.ndarray, m: int, d: int) -> np.ndarray:
+    """View of the hidden biases and hidden weights in ``theta`` as one (m + 1, D)
+    matrix: the weights on the inputs (1, X_{t-1}, ..., X_{t-m})."""
+    return theta[..., 1 + d : 1 + 2 * d + m * d].reshape(theta.shape[:-1] + (m + 1, d))
+
+
 def _lag_inputs(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of (X_{t-1}, ..., X_{t-m}) and the targets X_t."""
+    """The inputs (1, X_{t-1}, ..., X_{t-m}) as m + 1 contiguous rows, and the targets X_t."""
     design, targets = lag_design(x, m)
-    # a contiguous copy: the strided column view moves the matmul result bits
-    return np.ascontiguousarray(design[:, 1:]), targets
+    return np.ascontiguousarray(design.T), targets
 
 
-def _forward(theta, m, d, skip, lag_matrix) -> tuple[np.ndarray, np.ndarray]:
-    """Hidden activations and network output for each row of lagged inputs."""
-    bias, output_weights, hidden_biases, hidden_weights, skip_weights = _unpack(theta, m, d, skip)
-    activations = _masked_logistic(hidden_biases + lag_matrix @ hidden_weights)
-    out = bias + activations @ output_weights
+def _forward(theta, m, d, skip, inputs) -> tuple[np.ndarray, np.ndarray]:
+    """Hidden activations (restarts, D, rows) and outputs (restarts, rows) of
+    each row of ``theta`` on ``inputs`` (m + 1, rows), as from :func:`_lag_inputs`.
+
+    No product mixes restarts: each sum runs over one restart's own terms, so
+    a restart's bits do not depend on the others in the batch.
+    """
+    bias, output_weights, _, _, skip_weights = _unpack(theta, m, d, skip)
+    activations = _masked_logistic(np.einsum("rjd,jn->rdn", _hidden_layer(theta, m, d), inputs))
+    out = np.einsum("rd,rdn->rn", output_weights, activations)
+    out += bias[:, None]
     if skip:
-        out = out + lag_matrix @ skip_weights
+        out += np.einsum("rj,jn->rn", skip_weights, inputs[1:])
     return activations, out
 
 
-def _gradient(theta, m, d, skip, lag_matrix, targets, state) -> np.ndarray:
-    """Gradient at ``theta``, given its forward pass ``state`` = (activations, output)."""
-    activations, out = state
-    resid = targets - out
+def _gradient(theta, m, d, skip, inputs, activations, resid) -> np.ndarray:
+    """Gradient (restarts, weights) of half the RSS at each row of ``theta``,
+    given its forward pass's ``activations`` and residuals ``resid``."""
     output_weights = _unpack(theta, m, d, skip)[1]
-    back = -(resid[:, None] * output_weights[None, :]) * activations * (1.0 - activations)
-    skip_part = -(resid @ lag_matrix) if skip else None
-    parts = (-resid.sum(), -(resid @ activations), back.sum(axis=0), lag_matrix.T @ back, skip_part)
-    return _pack(parts, m, d, skip)
+    # the residual times each hidden unit's slope; the output weight multiplies the sum
+    back = resid[:, None] * (activations * (1.0 - activations))
+    grad = np.empty(theta.shape)
+    bias, to_output, _, _, to_skip = _unpack(grad, m, d, skip)
+    bias[...] = resid.sum(axis=-1)
+    to_output[...] = np.einsum("rn,rdn->rd", resid, activations)
+    _hidden_layer(grad, m, d)[...] = output_weights[:, None] * np.einsum("rdn,jn->rjd", back, inputs)
+    if skip:
+        to_skip[...] = np.einsum("rn,jn->rj", resid, inputs[1:])
+    return np.negative(grad, out=grad)
 
 
-def _checked_lags(model: NnetArModel, lag_matrix) -> np.ndarray:
+def _checked_inputs(model: NnetArModel, lag_matrix) -> np.ndarray:
+    """Rows of lagged inputs as the (m + 1, rows) inputs :func:`_forward` takes."""
     lag_matrix = np.atleast_2d(np.asarray(lag_matrix, dtype=float))
     if lag_matrix.shape[1] != model.n_inputs:
         raise DimensionMismatch(f"expected {model.n_inputs} lag columns, got {lag_matrix.shape[1]}")
-    return lag_matrix
+    return np.vstack((np.ones(len(lag_matrix)), lag_matrix.T))
+
+
+def _output(model: NnetArModel, inputs: np.ndarray) -> np.ndarray:
+    """Network output on ``inputs`` (m + 1, rows), as from :func:`_lag_inputs`."""
+    skip = model.skip_weights is not None
+    theta = model.to_vector()[None]
+    return _forward(theta, model.n_inputs, model.n_hidden, skip, inputs)[1][0]
 
 
 def predict(model: NnetArModel, lag_matrix: np.ndarray) -> np.ndarray:
     """Network output for each row of lagged inputs."""
-    skip = model.skip_weights is not None
-    lag_matrix = _checked_lags(model, lag_matrix)
-    return _forward(model.to_vector(), model.n_inputs, model.n_hidden, skip, lag_matrix)[1]
+    return _output(model, _checked_inputs(model, lag_matrix))
 
 
 def forward(model: NnetArModel, lags) -> float:
@@ -205,21 +240,24 @@ def forward(model: NnetArModel, lags) -> float:
 
 
 def gradient(model: NnetArModel, lag_matrix: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Exact gradient of (1/2) sum (target - forward)^2, flat in ``to_vector`` order."""
-    lag_matrix = _checked_lags(model, lag_matrix)
+    """Exact gradient of (1/2) sum (target - forward)^2, flat in ``to_vector`` order:
+    the training gradient, for a batch of one restart."""
+    inputs = _checked_inputs(model, lag_matrix)
     targets = np.asarray(targets, dtype=float)
-    if lag_matrix.shape[0] != targets.shape[0]:
+    if inputs.shape[1] != targets.shape[0]:
         raise DimensionMismatch("lag matrix and targets disagree on row count")
-    skip = model.skip_weights is not None
-    theta = model.to_vector()
-    state = _forward(theta, model.n_inputs, model.n_hidden, skip, lag_matrix)
-    return _gradient(theta, model.n_inputs, model.n_hidden, skip, lag_matrix, targets, state)
+    m, d, skip = model.n_inputs, model.n_hidden, model.skip_weights is not None
+    theta = model.to_vector()[None]
+    activations, out = _forward(theta, m, d, skip, inputs)
+    return _gradient(theta, m, d, skip, inputs, activations, targets - out)[0]
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     """Training settings.  ``standardize``, the default, trains on (x - mean) / std
-    and maps the weights back to raw units: descent stalls on raw inputs below ~0.1."""
+    and maps the weights back to raw units: descent stalls on raw inputs below ~0.1.
+    The ``restarts`` descend in lockstep, so training memory grows as restarts x
+    hidden units x rows, up to a cap past which they descend in groups."""
 
     restarts: int = 20
     max_iters: int = 2000
@@ -245,51 +283,95 @@ class NnetFitResult:
     converged: bool
 
 
-def _half_rss(theta, m, d, skip, lag_matrix, targets):
-    """Half the RSS at ``theta``, and the forward pass (activations, output) behind it."""
-    state = _forward(theta, m, d, skip, lag_matrix)
-    resid = targets - state[1]
-    return 0.5 * float(resid @ resid), state
+def _lockstep_descent(theta, m, d, skip, inputs, targets, max_iters, tol):
+    """Gradient descent with a backtracking line search, on every row of
+    ``theta`` (restarts, weights) at once.
 
-
-def _descend(theta, m, d, skip, lag_matrix, targets, max_iters, tol, trace=None):
-    """Backtracking-line-search gradient descent; returns (theta, loss, iters, converged).
-
-    ``trace``, when a list, receives the starting loss and each accepted loss.
+    Returns the final weights, half the RSS (NaN for a restart dropped because
+    its loss is not finite at its initial weights), the iterations and the
+    converged flags, one per restart.  Each restart keeps its own step size
+    and takes the first halving of it that passes the Armijo test, as a
+    one-at-a-time search would.  A descent step makes one gradient call for
+    the restarts still descending, then one forward call per line-search
+    round for those still searching; a round tries a step and its next
+    halvings at once (``_HALVINGS``).  A restart leaves the batch when it
+    converges - its gradient is zero, no step of at least ``_MIN_STEP``
+    passes, or its relative loss drop falls below ``tol`` - and the others go
+    on, up to ``max_iters`` steps.
     """
-    loss, state = _half_rss(theta, m, d, skip, lag_matrix, targets)
-    if not np.isfinite(loss):
-        raise NonFiniteLoss("loss not finite at the initial weights")
-    if trace is not None:
-        trace.append(loss)
-    step = 1.0
-    iterations = 0
-    for iterations in range(1, max_iters + 1):
-        grad = _gradient(theta, m, d, skip, lag_matrix, targets, state)
-        gnorm2 = float(grad @ grad)
-        if gnorm2 == 0.0:
-            return theta, loss, iterations, True
-        alpha = step
-        while alpha >= _MIN_STEP:
-            candidate = theta - alpha * grad
-            cand_loss, cand_state = _half_rss(candidate, m, d, skip, lag_matrix, targets)
-            if np.isfinite(cand_loss) and cand_loss <= loss - _ARMIJO * alpha * gnorm2:
-                break
-            alpha *= 0.5
-        else:
-            # no descent step exists at the smallest stride: local minimum
-            return theta, loss, iterations, True
-        relative_drop = (loss - cand_loss) / max(loss, 1e-300)
-        # the accepted candidate's forward pass serves the next gradient
-        theta, loss, state = candidate, cand_loss, cand_state
-        if not np.isfinite(loss):
-            raise NonFiniteLoss(f"loss became non-finite at iteration {iterations}")
-        if trace is not None:
-            trace.append(loss)
-        step = min(alpha * 2.0, 1e6)
-        if relative_drop < tol:
-            return theta, loss, iterations, True
-    return theta, loss, iterations, False
+    theta = np.array(theta, dtype=float)
+    n_restarts = len(theta)
+    loss = np.full(n_restarts, np.nan)
+    iterations = np.zeros(n_restarts, dtype=int)
+    converged = np.zeros(n_restarts, dtype=bool)
+    activations, out = _forward(theta, m, d, skip, inputs)
+    resid = targets - out
+    half = 0.5 * np.einsum("rn,rn->r", resid, resid)
+    # the restarts still descending, and their state, one row each
+    live = np.flatnonzero(np.isfinite(half))
+    state = (theta[live], activations[live], resid[live], half[live])
+    step = np.ones(live.size)
+    for iteration in range(1, max_iters + 1):
+        if not live.size:
+            break
+        weights, activations, resid, half = state
+        grad = _gradient(weights, m, d, skip, inputs, activations, resid)
+        gnorm2 = np.einsum("rw,rw->r", grad, grad)
+        alpha = step.copy()
+        accepted = np.zeros(live.size, dtype=bool)
+        searching = np.flatnonzero(gnorm2 != 0.0)
+        new = None
+        while searching.size:
+            # row (k, i): restart searching[i] at alpha / 2**k
+            trials = _HALVINGS[:, None] * alpha[searching]
+            candidate = (weights[searching] - trials[..., None] * grad[searching]).reshape(
+                -1, weights.shape[1]
+            )
+            cand_activations, cand_out = _forward(candidate, m, d, skip, inputs)
+            cand_resid = targets - cand_out
+            cand_half = 0.5 * np.einsum("rn,rn->r", cand_resid, cand_resid)
+            tried = cand_half.reshape(trials.shape)
+            passed = (trials >= _MIN_STEP) & np.isfinite(tried) & (
+                tried <= half[searching] - _ARMIJO * trials * gnorm2[searching]
+            )
+            first = passed.argmax(axis=0)
+            ok = passed.any(axis=0)
+            rows = first * searching.size + np.arange(searching.size)
+            found = (candidate, cand_activations, cand_resid, cand_half)
+            if new is None and searching.size == live.size and ok.all():
+                new = tuple(a[rows] for a in found)  # the common case: one round for all
+            else:
+                if new is None:
+                    new = tuple(a.copy() for a in state)
+                for target, value in zip(new, found):
+                    target[searching[ok]] = value[rows[ok]]
+            accepted[searching[ok]] = True
+            alpha[searching] *= np.where(ok, _HALVINGS[first], 0.5 * _HALVINGS[-1])
+            failed = searching[~ok]
+            searching = failed[alpha[failed] >= _MIN_STEP]
+        # a restart without an acceptable step sits at a local minimum and stays there
+        if new is not None:
+            state = new
+        relative_drop = (half - state[3]) / np.maximum(half, 1e-300)
+        step = np.minimum(alpha * 2.0, 1e6)
+        stop = ~accepted | (relative_drop < tol)
+        if stop.any():
+            leaving = live[stop]
+            theta[leaving], loss[leaving] = state[0][stop], state[3][stop]
+            iterations[leaving], converged[leaving] = iteration, True
+            keep = ~stop
+            live, step = live[keep], step[keep]
+            state = tuple(a[keep] for a in state)
+    theta[live], loss[live], iterations[live] = state[0], state[3], max_iters
+    return theta, loss, iterations, converged
+
+
+def check_network(m: int, d: int) -> None:
+    """Reject a network without a lagged input or without a hidden unit."""
+    if m < 1:
+        raise ValueError(f"m, the number of lagged inputs, must be at least 1, got {m}")
+    if d < 1:
+        raise ValueError(f"d, the number of hidden units, must be at least 1, got {d}")
 
 
 def train_nnet_ar(series, m: int, d: int, config: TrainConfig | None = None) -> NnetFitResult:
@@ -298,13 +380,13 @@ def train_nnet_ar(series, m: int, d: int, config: TrainConfig | None = None) -> 
     Each restart draws initial weights uniformly from
     [-init_scale, init_scale] with its own deterministic generator, descends
     until the relative loss change falls below ``tol`` or ``max_iters``, and
-    the restart with the lowest final RSS wins (index breaks ties).  Restarts
-    whose loss turns non-finite are dropped; if all fail, NonFiniteLoss.
+    the restart with the lowest final RSS wins (index breaks ties).  All
+    restarts descend in lockstep (see ``_lockstep_descent``), in groups when
+    the series is long (``_BATCH_VALUES``); one that stops leaves the batch,
+    and each gets the weights it would get alone.  Restarts whose loss is not
+    finite at their initial weights are dropped; if all are, NonFiniteLoss.
     """
-    if m < 1:
-        raise ValueError(f"m, the number of lagged inputs, must be at least 1, got {m}")
-    if d < 1:
-        raise ValueError(f"d, the number of hidden units, must be at least 1, got {d}")
+    check_network(m, d)
     cfg = config or TrainConfig()
     x = series_values(series)
     if cfg.standardize:
@@ -318,25 +400,27 @@ def train_nnet_ar(series, m: int, d: int, config: TrainConfig | None = None) -> 
     n_weights = _n_weights(m, d, cfg.skip)
     if len(x) - m <= n_weights:
         raise SeriesTooShort(f"{max(len(x) - m, 0)} rows cannot support {n_weights} weights")
-    lag_matrix, targets = _lag_inputs(x_train, m)
+    inputs, targets = _lag_inputs(x_train, m)
 
-    best = None
-    for restart in range(cfg.restarts):
-        rng = default_rng([cfg.seed, restart])
-        theta0 = rng.uniform(-cfg.init_scale, cfg.init_scale, size=n_weights)
-        try:
-            theta, loss, iterations, converged = _descend(
-                theta0, m, d, cfg.skip, lag_matrix, targets, cfg.max_iters, cfg.tol
-            )
-        except NonFiniteLoss:
-            continue
-        rss = 2.0 * loss
-        if best is None or rss < best[0]:
-            best = (rss, restart, theta, iterations, converged)
-    if best is None:
+    theta0 = np.stack([
+        default_rng([cfg.seed, restart]).uniform(-cfg.init_scale, cfg.init_scale, size=n_weights)
+        for restart in range(cfg.restarts)
+    ])
+    group = max(1, _BATCH_VALUES // (len(_HALVINGS) * d * len(targets)))
+    runs = [
+        _lockstep_descent(
+            theta0[lo : lo + group], m, d, cfg.skip, inputs, targets, cfg.max_iters, cfg.tol
+        )
+        for lo in range(0, cfg.restarts, group)
+    ]
+    thetas, losses, iterations, converged = (np.concatenate(parts) for parts in zip(*runs))
+    finished = np.flatnonzero(np.isfinite(losses))
+    if not finished.size:
         raise NonFiniteLoss("every restart diverged")
+    # argmin returns the first of equal values: the lowest index breaks ties
+    restart = int(finished[np.argmin(losses[finished])])
 
-    rss, restart, theta, iterations, converged = best
+    theta = thetas[restart]
     if cfg.standardize:
         theta = _destandardize(theta, m, d, cfg.skip, center, scale)
     model = NnetArModel.from_vector(m, d, theta, cfg.skip)
@@ -347,8 +431,8 @@ def train_nnet_ar(series, m: int, d: int, config: TrainConfig | None = None) -> 
         fitted=fitted,
         residuals=residuals,
         restart_index=restart,
-        iterations=iterations,
-        converged=converged,
+        iterations=int(iterations[restart]),
+        converged=bool(converged[restart]),
     )
 
 

@@ -20,10 +20,12 @@ from dataclasses import asdict, dataclass, field, fields
 from . import dataio
 from .errors import PipelineError, RegimevolError
 from .linearity import check_significance, terasvirta_first_order, terasvirta_zero_order
-from .neural import TrainConfig, train_nnet_ar
+from .neural import TrainConfig, check_network, train_nnet_ar
 from .regimes import (
     GammaGrid,
     ThresholdVariable,
+    check_regime_count,
+    check_transition_count,
     checked_min_fraction,
     fit_ar,
     fit_lstar,
@@ -31,7 +33,7 @@ from .regimes import (
     select_ar_order,
 )
 from .selection import score_models
-from .series import log_returns, realized_volatility
+from .series import check_order, log_returns, realized_volatility
 from .stationarity import TREND_BREAK, perron_detrend, phillips_perron
 
 ENV_OUTPUT_DIR = "REGIMEVOL_OUTPUT_DIR"
@@ -63,11 +65,21 @@ class ModelRequest:
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
         self.threshold_variable()
+        if self.kind == "nnet":
+            check_network(self.order, self.hidden)
+            self.train_config()
+        else:
+            check_order(self.order)
         if self.kind == "setar":
+            check_regime_count(self.regimes)
             checked_min_fraction(self.min_fraction, self.regimes)
         elif self.kind in ("lstar", "estar"):
+            check_transition_count(self.transitions)
             checked_min_fraction(self.min_fraction, self.transitions + 1)
             self.gamma_grid()
+
+    def train_config(self, seed: int = TrainConfig.seed) -> TrainConfig:
+        return TrainConfig(restarts=self.restarts, seed=seed, standardize=self.standardize)
 
     def threshold_variable(self) -> ThresholdVariable:
         return ThresholdVariable(self.threshold, self.delay)
@@ -269,8 +281,7 @@ def _fit_model(request: ModelRequest, series, seed: int):
             min_fraction=request.min_fraction,
             transition="logistic" if request.kind == "lstar" else "exponential",
         )
-    config = TrainConfig(restarts=request.restarts, seed=seed, standardize=request.standardize)
-    return train_nnet_ar(series, request.order, request.hidden, config).model
+    return train_nnet_ar(series, request.order, request.hidden, request.train_config(seed)).model
 
 
 def fit(request: ModelRequest, series, seed: int, model_path=None, fitted_path=None):

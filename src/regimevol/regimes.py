@@ -80,9 +80,15 @@ _WORKERS = _worker_count(
 
 
 def _masked_logistic(arg: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-arg)), with exp taken only of non-positive values."""
+    """1 / (1 + exp(-arg)), with exp taken only of non-positive values.
+
+    One division: the numerator is 1 where arg >= 0 and e = exp(-|arg|)
+    elsewhere.  As e <= 1 it is the larger of e and the indicator of
+    arg >= 0, which costs a fraction of ``np.where``.  Every bit, NaN
+    included, is that of 1 / (1 + e) where arg >= 0 and e / (1 + e) elsewhere.
+    """
     e = np.exp(-np.abs(arg))
-    return np.where(arg >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.divide(np.maximum(e, arg >= 0), 1.0 + e)
 
 
 def _transition_weights(kind: str, z, gamma, c, out=None):
@@ -555,6 +561,18 @@ def _min_count(rows: int, min_fraction: float, order: int) -> int:
     return max(int(np.ceil(min_fraction * rows)), order + 2)
 
 
+def check_regime_count(n_regimes: int) -> None:
+    """Reject a SETAR regime count other than 2 or 3."""
+    if n_regimes not in (2, 3):
+        raise ValueError(f"n_regimes must be 2 or 3, got {n_regimes}")
+
+
+def check_transition_count(n_transitions: int) -> None:
+    """Reject a smooth-transition count other than 1 or 2."""
+    if n_transitions not in (1, 2):
+        raise ValueError(f"n_transitions must be 1 or 2, got {n_transitions}")
+
+
 def checked_min_fraction(min_fraction: float | None, n_regimes: int) -> float:
     """The share of rows each of ``n_regimes`` regimes must keep: ``min_fraction`` if it
     is finite and non-negative, by default 0.15 for 2 regimes and 0.10 for 3."""
@@ -843,8 +861,7 @@ def fit_setar(
     the RSS of an incumbent pair scored before the scan, so the winner, its
     RSS and the tie rule are those of solving every pair.
     """
-    if n_regimes not in (2, 3):
-        raise ValueError("n_regimes must be 2 or 3")
+    check_regime_count(n_regimes)
     tv = threshold_variable or ThresholdVariable(TIME)
     x, design, y, z, sort_idx, z_sorted, positions, min_count = _grid_setup(
         series, order, tv, min_fraction, n_regimes
@@ -1071,8 +1088,7 @@ def fit_lstar(
     the second is grid-fit greedily given the first, and the refined pair is
     reported with thresholds in increasing order.
     """
-    if n_transitions not in (1, 2):
-        raise ValueError("n_transitions must be 1 or 2")
+    check_transition_count(n_transitions)
     if transition not in (LOGISTIC, EXPONENTIAL):
         raise ValueError(f"unknown transition kind {transition!r}")
     tv = threshold_variable or ThresholdVariable(TIME)

@@ -17,16 +17,16 @@ p-values pass 1 - x as t^2 / (df + t^2) and q F / (df + q F), free of the
 cancellation in 1.0 - x, so p stays accurate near 1 for tiny statistics.
 
 Over 1 <= df <= 10,000, numerator df 1..20 and statistics 1e-8..1e4
-(80,000 random cases of each test), the relative error of ``t_pvalue`` and
-``f_sf`` against 50-digit ``mpmath.betainc`` was at most 7.3e-13 at the x
-(or, when swapped, the 1 - x) that ``_betainc`` receives, and at most
-9.8e-13 against the exact p-value of the statistic, wherever the p-value
-exceeds 1e-300.  The largest errors sit at df of 6,000-10,000 and p of
-about 0.01-0.2, on the direct fraction just below the switch; there
-a = df/2 also multiplies the rounding of x in a ln x.  The fraction took
-at most 67 terms.  Taking ln B(a, b) from plain ``math.lgamma``
-differences loses about lgamma(a) * eps instead: 5.3e-11 on 8,000 of
-those cases.
+(20,000 random cases of each test), the relative error of ``t_pvalue`` and
+``f_sf`` against 40-digit ``mpmath.betainc`` at the exact statistic was at
+most 8.3e-13 and 6.7e-13, wherever the p-value exceeds 1e-300.  The largest
+errors sit at df of 6,000-10,000 and p of about 0.01-0.3, on the direct
+fraction just below the switch.  There x > 0.5 and a = df/2 is large, so
+ln x is taken as log1p(-(1 - x)) from the caller's 1 - x: ln of the rounded
+x would multiply its rounding by a, and gave 1.2e-12 for t on the same
+cases.  The fraction took at most 67 terms.  Taking ln B(a, b) from plain
+``math.lgamma`` differences loses about lgamma(a) * eps instead: 5.3e-11
+on 8,000 of those cases.
 """
 
 from __future__ import annotations
@@ -207,9 +207,11 @@ def _betainc(a: float, b: float, x: float, y: float) -> float:
     # above the switch the fraction of I_{1-x}(b, a) converges faster
     swap = x >= (a + 1.0) / (a + b + 2.0)
     if swap:
-        a, b, x = b, a, y
+        a, b, x, y = b, a, y, x
     p, q = max(a, b), min(a, b)
-    log_front = a * math.log(x) + b * math.log1p(-x) - math.lgamma(q) + _lgamma_ratio(p, q)
+    # above 0.5, ln x from the caller's 1 - x: a large a would multiply x's rounding
+    log_x = math.log1p(-y) if x > 0.5 else math.log(x)
+    log_front = a * log_x + b * math.log1p(-x) - math.lgamma(q) + _lgamma_ratio(p, q)
     # 1 / (1 + d1 / (1 + d2 / (1 + ...))) by modified Lentz from f = C = tiny,
     # D = 0; step m takes d_2m (the leading 1 at m = 0) and d_2m+1
     c, d, fraction = _TINY, 0.0, _TINY

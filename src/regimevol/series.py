@@ -149,6 +149,12 @@ def realized_volatility(returns: ReturnSeries, window: int = 60, centered: bool 
     return VolatilitySeries(values=vol, window=window)
 
 
+def check_order(order: int) -> None:
+    """Reject a negative autoregressive order."""
+    if order < 0:
+        raise ValueError(f"order must be non-negative, got {order}")
+
+
 def lag_design(series, order: int, extra_columns=None) -> tuple[np.ndarray, np.ndarray]:
     """Build an autoregressive design matrix and the matching response vector.
 
@@ -159,8 +165,7 @@ def lag_design(series, order: int, extra_columns=None) -> tuple[np.ndarray, np.n
     """
     x = series_values(series)
     n = len(x)
-    if order < 0:
-        raise ValueError("order must be non-negative")
+    check_order(order)
     if n <= order:
         raise OrderTooLarge(f"order {order} leaves no rows for {n} observations")
     rows = n - order

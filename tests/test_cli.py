@@ -449,6 +449,31 @@ class TestCliCommands:
                 ["run", "--config", "{tmp}/zero-delay.json"],
                 "config", "delay", id="config-second-model-zero-delay",
             ),
+            pytest.param(
+                ["run", "--config", "{tmp}/four-regimes.json"],
+                "config", "n_regimes must be 2 or 3, got 4", id="config-second-model-four-regimes",
+            ),
+            pytest.param(
+                ["run", "--config", "{tmp}/three-transitions.json"],
+                "config", "n_transitions must be 1 or 2, got 3",
+                id="config-second-model-three-transitions",
+            ),
+            pytest.param(
+                ["run", "--config", "{tmp}/zero-restarts.json"],
+                "config", "restarts must be at least 1, got 0", id="config-second-model-zero-restarts",
+            ),
+            pytest.param(
+                ["run", "--config", "{tmp}/no-hidden-units.json"],
+                "config", "number of hidden units", id="config-second-model-no-hidden-units",
+            ),
+            pytest.param(
+                ["run", "--config", "{tmp}/nnet-no-inputs.json"],
+                "config", "number of lagged inputs", id="config-second-model-nnet-no-inputs",
+            ),
+            pytest.param(
+                ["run", "--config", "{tmp}/negative-order.json"],
+                "config", "order must be non-negative, got -1", id="config-second-model-negative-order",
+            ),
             # a 1e-13 step asks for about 2e15 gammas; the allocation fails
             # at once, before any memory is used
             pytest.param(
@@ -496,6 +521,17 @@ class TestCliCommands:
             **config,
             "models": [{"kind": "ar"}, {"kind": "lstar", "threshold": "lagged_value", "delay": 0}],
         }))
+        for name, second in (
+            ("four-regimes", {"kind": "setar", "regimes": 4}),
+            ("three-transitions", {"kind": "lstar", "transitions": 3}),
+            ("zero-restarts", {"kind": "nnet", "restarts": 0}),
+            ("no-hidden-units", {"kind": "nnet", "hidden": 0}),
+            ("nnet-no-inputs", {"kind": "nnet", "order": 0}),
+            ("negative-order", {"kind": "ar", "order": -1}),
+        ):
+            (tmp_path / f"{name}.json").write_text(
+                json.dumps({**config, "models": [{"kind": "ar"}, second]})
+            )
         values = [f"{i},{0.01 + 0.001 * (i % 7)}" for i in range(1, 61)]
         (tmp_path / "series.csv").write_text("\n".join(["index,value"] + values) + "\n")
         with open(price_csv) as handle:

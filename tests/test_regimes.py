@@ -96,6 +96,21 @@ class TestTransitionFunctions:
         scalar = entry(float(z[0]), 3.7, 0.2)
         assert type(scalar) is float and scalar == expected[0]
 
+    def test_masked_logistic_is_the_two_quotient_form(self):
+        # one division gives the bits of 1/(1+e) for arg >= 0 and e/(1+e) below
+        special = [0.0, -0.0, 1e-300, -1e-300, 700.0, -700.0, 800.0, -800.0, np.inf, -np.inf, np.nan]
+        rng = np.random.default_rng(12)
+        arg = np.concatenate([special, rng.normal(0.0, 1.0, 2000), rng.normal(0.0, 40.0, 2000)])
+        e = np.exp(-np.abs(arg))
+        expected = np.where(arg >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        got = regimes._masked_logistic(arg)
+        assert np.isnan(got[10]) and np.isnan(expected[10])
+        finite = ~np.isnan(expected)
+        assert np.array_equal(got[finite], expected[finite])
+        assert got[finite].tobytes() == expected[finite].tobytes()  # signed zeros too
+        e3 = np.exp(-3.0)
+        assert regimes._masked_logistic(np.float64(-3.0)) == e3 / (1.0 + e3)
+
     def test_gamma_must_be_positive(self):
         with pytest.raises(ValueError):
             logistic_transition(0.0, 0.0, 0.0)

@@ -201,6 +201,13 @@ class TestIncompleteBeta:
         # itself moves it by about d/2 ulps, so d stays small for 1e-13
         assert f_sf(f, 2, d) == pytest.approx(math.exp(-0.5 * d * math.log1p(2.0 * f / d)), rel=1e-13)
 
+    def test_t_at_large_df_just_below_the_switch(self):
+        # a = df/2 = 4478.5 multiplies ln x; x = 0.9996 is taken from 1 - x = 4.0e-4.
+        # The reference is mpmath.betainc(df/2, 1/2, 0, df/(df + t^2)) at 60
+        # digits, t the double nearest 1.9
+        exact = 0.057465203234313738256796693770037948522746422262889
+        assert abs(t_pvalue(1.900, 8957) - exact) <= 1e-13 * exact
+
     @settings(max_examples=400, derandomize=True, deadline=None)
     @given(
         df=st.integers(1, 10_000),
