@@ -24,6 +24,7 @@ from .regimes import _masked_logistic
 from .series import lag_design, series_values
 
 _ARMIJO = 1e-4
+_INIT_SCALE = 0.5
 _MIN_STEP = 1e-18
 # a line-search round tries a step and its next two halvings: on the default
 # network a restart takes the first, second or third about equally often
@@ -262,7 +263,6 @@ class TrainConfig:
     restarts: int = 20
     max_iters: int = 2000
     seed: int = 0
-    init_scale: float = 0.5
     skip: bool = False
     standardize: bool = True
     tol: float = 1e-8
@@ -378,7 +378,7 @@ def train_nnet_ar(series, m: int, d: int, config: TrainConfig | None = None) -> 
     """Train the network on a series with multiple random restarts.
 
     Each restart draws initial weights uniformly from
-    [-init_scale, init_scale] with its own deterministic generator, descends
+    [-_INIT_SCALE, _INIT_SCALE] with its own deterministic generator, descends
     until the relative loss change falls below ``tol`` or ``max_iters``, and
     the restart with the lowest final RSS wins (index breaks ties).  All
     restarts descend in lockstep (see ``_lockstep_descent``), in groups when
@@ -403,7 +403,7 @@ def train_nnet_ar(series, m: int, d: int, config: TrainConfig | None = None) -> 
     inputs, targets = _lag_inputs(x_train, m)
 
     theta0 = np.stack([
-        default_rng([cfg.seed, restart]).uniform(-cfg.init_scale, cfg.init_scale, size=n_weights)
+        default_rng([cfg.seed, restart]).uniform(-_INIT_SCALE, _INIT_SCALE, size=n_weights)
         for restart in range(cfg.restarts)
     ])
     group = max(1, _BATCH_VALUES // (len(_HALVINGS) * d * len(targets)))

@@ -64,12 +64,14 @@ class ModelRequest:
         # a malformed setting fails here, before any stage runs
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
-        self.threshold_variable()
+        threshold = self.threshold_variable()
         if self.kind == "nnet":
             check_network(self.order, self.hidden)
             self.train_config()
         else:
             check_order(self.order)
+        if self.kind in ("setar", "lstar", "estar"):
+            threshold.check_order(self.order)
         if self.kind == "setar":
             check_regime_count(self.regimes)
             checked_min_fraction(self.min_fraction, self.regimes)

@@ -167,15 +167,18 @@ class ThresholdVariable:
         if self.kind == LAGGED_VALUE and self.delay < 1:
             raise ValueError("delay must be >= 1")
 
+    def check_order(self, order: int) -> None:
+        """Reject a lagged value x_{t-d} that a model of ``order`` lags does not read."""
+        if self.kind == LAGGED_VALUE and self.delay > order:
+            raise ValueError(f"delay {self.delay} exceeds order {order}")
 
-def _threshold_row_values(tv: ThresholdVariable, x: np.ndarray, order: int) -> np.ndarray:
-    """Threshold-variable value for each design row (response at t = order+1..n)."""
-    n = len(x)
-    if tv.kind == TIME:
-        return np.arange(order + 1, n + 1, dtype=float)
-    if tv.delay > order:
-        raise ValueError(f"delay {tv.delay} exceeds order {order}")
-    return x[order - tv.delay : n - tv.delay]
+    def values(self, x: np.ndarray, order: int) -> np.ndarray:
+        """Value for each design row of an AR(``order``) on ``x`` (response at t = order+1..n)."""
+        self.check_order(order)
+        n = len(x)
+        if self.kind == TIME:
+            return np.arange(order + 1, n + 1, dtype=float)
+        return x[order - self.delay : n - self.delay]
 
 
 @dataclass(frozen=True)
@@ -233,12 +236,8 @@ class RegimeModel:
         lags = np.array(history[-order:][::-1]) if order else np.empty(0)
         row = np.concatenate([[1.0], lags])
         tv = self.threshold_variable
-        if tv.kind == TIME:
-            z = t
-        elif tv.delay > max(order, 1):
-            raise ValueError(f"threshold delay {tv.delay} exceeds the model order")
-        else:
-            z = history[-tv.delay]
+        tv.check_order(order)
+        z = t if tv.kind == TIME else history[-tv.delay]
         return float(self._predict(row[None, :], np.array([z]))[0])
 
     def _predict(self, design: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -251,7 +250,7 @@ class RegimeModel:
         the regime (hard-threshold kinds) or one weight per transition."""
         x = series_values(series)
         fitted, residuals = one_step_fitted(self, x)
-        z = _threshold_row_values(self.threshold_variable, x, self.order)
+        z = self.threshold_variable.values(x, self.order)
         columns = {
             "index": np.arange(self.order + 1, len(x) + 1),
             "actual": x[self.order :],
@@ -338,7 +337,7 @@ def one_step_fitted(model: RegimeModel, series) -> tuple[np.ndarray, np.ndarray]
     if len(x) <= model.order:
         raise SeriesTooShort(f"need more than {model.order} observations")
     design, y = lag_design(x, model.order)
-    z = _threshold_row_values(model.threshold_variable, x, model.order)
+    z = model.threshold_variable.values(x, model.order)
     fitted = model._predict(design, z)
     return fitted, y - fitted
 
@@ -359,7 +358,7 @@ def _finish_model(
     regimes = tuple(np.asarray(r, dtype=float) for r in regimes)
     thresholds = np.asarray(thresholds, dtype=float)
     transitions = tuple(transitions)
-    z = _threshold_row_values(tv, series_vals, order)
+    z = tv.values(series_vals, order)
     if len(thresholds):
         counts = np.bincount(
             _regime_assignment(thresholds, z), minlength=len(thresholds) + 1
@@ -591,7 +590,7 @@ def _grid_setup(series, order: int, tv: ThresholdVariable, min_fraction, n_regim
     x = series_values(series)
     design, y = lag_design(x, order)
     rows = len(y)
-    z = _threshold_row_values(tv, x, order)
+    z = tv.values(x, order)
     min_count = _min_count(rows, min_fraction, order)
     if rows < n_regimes * min_count:
         raise SeriesTooShort(
@@ -1124,14 +1123,10 @@ def fit_lstar(
     # the refinement stays inside the searched region: gamma within the grid
     # bounds, c within the trimmed span of observed threshold values
     theta0 = np.concatenate([stage1.coefficients, grid_gammas, grid_cs])
-    lower = np.full(len(theta0), -np.inf)
-    upper = np.full(len(theta0), np.inf)
-    _, _, lower_gamma, lower_c = _pack_star(lower, k1, n_transitions)
-    _, _, upper_gamma, upper_c = _pack_star(upper, k1, n_transitions)
-    lower_gamma[:] = min(grid.lo, gamma_init)
-    upper_gamma[:] = grid.hi
-    lower_c[:] = z_sorted[positions[0]]
-    upper_c[:] = z_sorted[positions[-1]]
+    free = np.full(len(stage1.coefficients), np.inf)
+    each = np.ones(n_transitions)
+    lower = np.concatenate([-free, min(grid.lo, gamma_init) * each, z_sorted[positions[0]] * each])
+    upper = np.concatenate([free, grid.hi * each, z_sorted[positions[-1]] * each])
 
     def residual(theta):
         a, blocks, gs, cs = _pack_star(theta, k1, n_transitions)
@@ -1141,37 +1136,26 @@ def fit_lstar(
             mean = mean + _transition_weights(transition, z, gamma_j, cs[j]) * (design @ blocks[j])
         return y - mean
 
-    converged = False
-    theta = theta0
-    errors = None
+    theta, errors, converged = theta0, None, False
     if refine:
         try:
             nls = nls_fit(residual, theta0, bounds=(lower, upper))
-            theta = nls.coefficients
-            errors = nls.standard_errors
-            converged = nls.converged
+            theta, errors, converged = nls.coefficients, nls.standard_errors, nls.converged
         except (SingularJacobian, NonFiniteResidual, TooShort, RankDeficient):
-            theta = theta0
-            errors = None
-            converged = False
+            pass
+    cs = _pack_star(theta, k1, n_transitions)[3]
+    if len(cs) > 1 and cs[0] == cs[1]:
+        # refinement collapsed the two thresholds; keep the grid solution
+        theta, errors, converged = theta0, None, False
 
-    a, blocks, gs, cs = _pack_star(theta, k1, n_transitions)
-    sort_order = np.argsort(cs, kind="stable")
-    if len(cs) > 1 and cs[sort_order][0] == cs[sort_order][1]:
-        # refinement collapsed the thresholds; keep the grid solution
-        theta = theta0
-        a, blocks, gs, cs = _pack_star(theta, k1, n_transitions)
-        sort_order = np.argsort(cs, kind="stable")
-        errors = None
-        converged = False
-    blocks = blocks[sort_order]
-    gs = gs[sort_order]
-    cs = cs[sort_order]
+    # one permutation of the parameter positions puts the transitions in
+    # increasing c, each with its own block and gamma
+    a_at, blocks_at, gammas_at, cs_at = _pack_star(np.arange(len(theta)), k1, n_transitions)
+    by_c = np.argsort(theta[cs_at], kind="stable")
+    permutation = np.concatenate([a_at, blocks_at[by_c].ravel(), gammas_at[by_c], cs_at[by_c]])
+    a, blocks, gs, cs = _pack_star(theta[permutation], k1, n_transitions)
     if errors is not None:
-        _, err_blocks, err_gs, err_cs = _pack_star(errors, k1, n_transitions)
-        errors = np.concatenate(
-            [errors[:k1], err_blocks[sort_order].ravel(), err_gs[sort_order], err_cs[sort_order]]
-        )
+        errors = errors[permutation]
 
     kind = "lstar" if transition == LOGISTIC else "estar"
     specs = tuple(TransitionSpec(kind=transition, gamma=float(g), c=float(c)) for g, c in zip(gs, cs))
@@ -1184,7 +1168,7 @@ def fit_lstar(
     return _finish_model(
         kind=kind,
         order=order,
-        regimes=[a] + [blocks[j] for j in range(n_transitions)],
+        regimes=[a, *blocks],
         thresholds=cs,
         transitions=specs,
         tv=tv,

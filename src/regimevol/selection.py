@@ -80,14 +80,6 @@ class ComparisonReport:
         return "\n".join(lines)
 
 
-def _argmin_label(scores: Sequence[ModelScore], key) -> str:
-    best = scores[0]
-    for s in scores[1:]:
-        if key(s) < key(best):
-            best = s
-    return best.model_id
-
-
 def compare(candidates: Sequence, series, labels: Sequence[str] | None = None) -> ComparisonReport:
     """Score every candidate on the largest common sample of ``series``.
 
@@ -140,8 +132,8 @@ def score_models(candidates: Sequence, series, labels: Sequence[str] | None = No
     scores = tuple(scores)
     return ComparisonReport(
         scores=scores,
-        best_by_aic=_argmin_label(scores, lambda s: s.aic),
-        best_by_bic=_argmin_label(scores, lambda s: s.bic),
-        best_by_mape=_argmin_label(scores, lambda s: s.mape),
+        best_by_aic=min(scores, key=lambda s: s.aic).model_id,
+        best_by_bic=min(scores, key=lambda s: s.bic).model_id,
+        best_by_mape=min(scores, key=lambda s: s.mape).model_id,
         common_sample=n_common,
     )

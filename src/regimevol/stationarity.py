@@ -98,13 +98,11 @@ def perron_detrend(prices, break_index: int, specification: str = TREND_BREAK) -
     """
     values = series_values(prices)
     length = len(values)
-    if not 1 < break_index < length:
-        raise BreakOutOfRange(f"break index {break_index} outside (1, {length})")
+    dummies = build_dummies(length, break_index)
     if length < break_index + 5:
         raise BreakOutOfRange(
             f"need at least 5 post-break observations, got {length - break_index}"
         )
-    dummies = build_dummies(length, break_index)
 
     if specification == TREND_BREAK:
         t = np.arange(1, length + 1, dtype=float)

@@ -1,18 +1,25 @@
+import contextlib
 import datetime as dt
+import io
 import json
+import os
+import re
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from regimevol import PipelineConfig, run_pipeline
 from regimevol.cli import _given, _parse_model_spec, build_parser, main
 from regimevol.errors import PipelineError, RegimevolError
 from regimevol.pipeline import MODEL_KINDS, ModelRequest, field_types
+from regimevol.regimes import LAGGED_VALUE, ThresholdVariable
 from tests.conftest import make_regime_model
 
 
@@ -362,6 +369,11 @@ class TestCliCommands:
                 ["simulate", "{tmp}/ar-model.json", "--length", "5", "--noise-sd", "inf"],
                 "simulate", "noise_sd must be finite", id="simulate-inf-noise-sd",
             ),
+            # a SETAR(0) on x_{t-1} reads a lag it does not have
+            pytest.param(
+                ["simulate", "{tmp}/setar0-lagged-model.json", "--length", "5"],
+                "simulate", "delay 1 exceeds order 0", id="simulate-delay-above-order",
+            ),
             pytest.param(
                 ["fit", "nnet", "{tmp}/series.csv", "--restarts", "0",
                  "--output-dir", "{tmp}/out"],
@@ -450,6 +462,10 @@ class TestCliCommands:
                 "config", "delay", id="config-second-model-zero-delay",
             ),
             pytest.param(
+                ["run", "--config", "{tmp}/delay-above-order.json"],
+                "config", "delay 3 exceeds order 1", id="config-second-model-delay-above-order",
+            ),
+            pytest.param(
                 ["run", "--config", "{tmp}/four-regimes.json"],
                 "config", "n_regimes must be 2 or 3, got 4", id="config-second-model-four-regimes",
             ),
@@ -508,6 +524,9 @@ class TestCliCommands:
         (tmp_path / "ar-model.json").write_text(
             json.dumps(make_regime_model("ar", [[0.0, 0.5]]).to_dict())
         )
+        (tmp_path / "setar0-lagged-model.json").write_text(json.dumps(make_regime_model(
+            "setar", [[0.5], [-0.5]], thresholds=[0.0], tv=ThresholdVariable(LAGGED_VALUE, 1)
+        ).to_dict()))
         (tmp_path / "string-order.json").write_text(
             json.dumps({**config, "models": [{"kind": "ar", "order": "1"}]})
         )
@@ -522,6 +541,8 @@ class TestCliCommands:
             "models": [{"kind": "ar"}, {"kind": "lstar", "threshold": "lagged_value", "delay": 0}],
         }))
         for name, second in (
+            ("delay-above-order",
+             {"kind": "setar", "threshold": "lagged_value", "delay": 3, "order": 1}),
             ("four-regimes", {"kind": "setar", "regimes": 4}),
             ("three-transitions", {"kind": "lstar", "transitions": 3}),
             ("zero-restarts", {"kind": "nnet", "restarts": 0}),
@@ -697,3 +718,87 @@ def test_a_run_config_is_a_config_or_one_value_error(kind, target, value):
         return
     assert isinstance(config, PipelineConfig)
     assert all(isinstance(m, ModelRequest) for m in config.models)
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    """A 120-price CSV, its 100-row volatility CSV and a saved lagged-value SETAR."""
+    root = tmp_path_factory.mktemp("cli-fuzz")
+    prices = write_price_csv(root / "prices.csv", synthetic_prices(n=120, break_at=60))
+    assert main(["transform", prices, "--window", "20", "--output-dir", str(root)]) == 0
+    volatility = str(root / "volatility.csv")
+    assert main(["fit", "setar", volatility, "--threshold", "lagged_value",
+                 "--output-dir", str(root / "setar")]) == 0
+    return {"prices": prices, "volatility": volatility, "model": str(root / "setar" / "model.json")}
+
+
+# a quick baseline of each subcommand but run, whose config keys are fuzzed
+# above: the command and its input file, then its flags
+_CLI_BASELINES = {
+    "ingest": ("ingest {prices}", "--output ingest.json"),
+    "transform": ("transform {prices}", "--window 20 --output-dir out"),
+    "test-unitroot": ("test-unitroot {prices}",
+                      "--break-index 60 --specification trend_break --output unitroot.json"),
+    "test-linearity": ("test-linearity {volatility}",
+                       "--ar-order 1 --significance 0.05 --output linearity.json"),
+    "fit-setar": ("fit setar {volatility}",
+                  "--order 1 --regimes 2 --threshold lagged_value --delay 1 --min-fraction 0.15"
+                  " --output-dir out"),
+    "fit-lstar": ("fit lstar {volatility}",
+                  "--order 1 --transitions 1 --gamma-lo 1 --gamma-hi 50 --gamma-points 5"
+                  " --min-fraction 0.15 --seed 0 --output-dir out"),
+    "fit-estar": ("fit estar {volatility}",
+                  "--order 1 --gamma-step 10 --gamma-lo 1 --gamma-hi 40 --output-dir out"),
+    "fit-ar": ("fit ar {volatility}", "--order 2 --output-dir out"),
+    "compare": ("compare {volatility}",
+                "--model ar:order=1 --model setar:order=1 --seed 0 --output-dir out"),
+    "simulate": ("simulate {model}", "--length 30 --noise-sd 0.01 --seed 1 --burn-in 5"),
+}
+_CLI_VALUES = ["nan", "inf", "-inf", "-1", "0", "x", ""]
+# checked before anything the size of the value is allocated
+_CLI_HUGE = {"--order", "--window", "--break-index"}
+
+
+def _cli_targets(name):
+    """What an example may set: "input" (the input file) or one of the flags."""
+    return ["input"] + [word for word in _CLI_BASELINES[name][1].split() if word.startswith("--")]
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(
+    case=st.sampled_from(list(_CLI_BASELINES)).flatmap(
+        lambda name: st.tuples(st.just(name), st.sampled_from(_cli_targets(name)))
+    ),
+    value=st.sampled_from(_CLI_VALUES + ["1000000000"]),
+)
+def test_a_command_line_exits_0_1_or_2_with_one_error_line(cli_inputs, case, value):
+    # one flag's value (or the input path) of a quick command set to a hostile value
+    name, target = case
+    assume(value != "1000000000" or target in _CLI_HUGE)
+    command, flags = _CLI_BASELINES[name]
+    argv = command.format(**cli_inputs).split()
+    words = flags.split()
+    if target == "input":
+        argv[-1] = value
+    else:
+        words[words.index(target) + 1] = value
+    argv += words
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as work, contextlib.chdir(work):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        written = [
+            Path(folder, file).read_text() for folder, _, files in os.walk(work) for file in files
+        ]
+    err_lines = err.getvalue().splitlines()
+    if code == 0:
+        assert err.getvalue() == ""
+        # a "wrote <path>" line names a path, which may be the hostile value
+        printed = [line for line in out.getvalue().splitlines() if not line.startswith("wrote ")]
+        for text in [*printed, *written]:
+            assert not re.search(r"\b(nan|inf|infinity)\b", text, re.IGNORECASE), (argv, text)
+    else:
+        assert code in (1, 2), argv
+        assert len(err_lines) == 1, (argv, err.getvalue())
+        assert err_lines[0].startswith("ERROR stage=") and err_lines[0].count("stage=") == 1
+        assert "Traceback" not in err.getvalue()

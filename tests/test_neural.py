@@ -119,7 +119,7 @@ class TestGradient:
         targets = rng.normal(size=30)
         resid = targets - predict(m, lags)
         g = gradient(m, lags, targets)
-        assert g[0] == pytest.approx(-resid.sum(), rel=1e-12)
+        assert g[0] == pytest.approx(-resid.sum(), rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("config", [(1, 1, False), (2, 3, False), (3, 4, True), (1, 2, True)])
     def test_matches_finite_differences(self, config):
@@ -261,7 +261,7 @@ def _reference_descend(theta, m, d, skip, lag_matrix, targets, max_iters, tol):
 def _initial_weights(cfg, m, d):
     n_weights = neural._n_weights(m, d, cfg.skip)
     return np.stack([
-        np.random.default_rng([cfg.seed, r]).uniform(-cfg.init_scale, cfg.init_scale, n_weights)
+        np.random.default_rng([cfg.seed, r]).uniform(-neural._INIT_SCALE, neural._INIT_SCALE, n_weights)
         for r in range(cfg.restarts)
     ])
 

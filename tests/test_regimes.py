@@ -27,7 +27,7 @@ from regimevol import (
     simulate,
 )
 from regimevol.regimes import LAGGED_VALUE, TIME, ThresholdVariable
-from regimevol.regression import ols_fit
+from regimevol.regression import NlsFit, ols_fit
 from regimevol.series import lag_design
 from tests.conftest import make_regime_model
 
@@ -42,7 +42,7 @@ class TestTransitionFunctions:
     def test_logistic_saturation(self):
         # high-precision oracle: 1/(1+exp(-20)) differs from 1 by ~2e-9
         assert 1.0 - logistic_transition(0.1, 200.0, 0.0) < 1e-3
-        assert logistic_transition(0.1, 200.0, 0.0) == pytest.approx(1.0 / (1.0 + np.exp(-20.0)), rel=1e-12)
+        assert logistic_transition(0.1, 200.0, 0.0) == pytest.approx(1.0 / (1.0 + np.exp(-20.0)), rel=1e-12, abs=0)
 
     def test_logistic_monotone_and_bounded(self):
         z = np.linspace(-30, 30, 301)
@@ -320,7 +320,7 @@ class TestFitLstar:
 def _grid_inputs(x, tv):
     """Design, response, threshold values and c candidates as fit_lstar builds them."""
     design, y = lag_design(x, 1)
-    z = regimes._threshold_row_values(tv, x, 1)
+    z = tv.values(x, 1)
     z_sorted = np.sort(z, kind="stable")
     positions = regimes._split_positions(z_sorted, regimes._min_count(len(y), 0.15, 1))
     return design, y, z, z_sorted[positions]
@@ -432,7 +432,7 @@ class TestProfiledGridOracle:
         # the grid solves normal equations, whose RSS carries an error of
         # about eps * cond^2 * y'y; well-conditioned winners meet 1e-9 alone
         tolerance = 1e-9 + np.finfo(float).eps * cond**2 * (y @ y) / expected
-        assert rss == pytest.approx(expected, rel=tolerance)
+        assert rss == pytest.approx(expected, rel=tolerance, abs=0)
 
 
 class TestSetarGridOracle:
@@ -450,7 +450,7 @@ class TestSetarGridOracle:
         scanned first cut major, and ties keep the first.
         """
         design, y = lag_design(x, order)
-        z = regimes._threshold_row_values(tv, x, order)
+        z = tv.values(x, order)
         sort_idx = np.argsort(z, kind="stable")
         design, y, z_sorted = design[sort_idx], y[sort_idx], z[sort_idx]
         rows = len(y)
@@ -516,7 +516,7 @@ class TestSetarGridOracle:
         # the grid scores by normal equations, whose RSS carries an error of
         # about eps * cond^2 * y'y; the model refits its regimes by ols_fit
         tolerance = 1e-9 + np.finfo(float).eps * cond**2 * (y @ y) / expected
-        assert model.rss == pytest.approx(expected, rel=tolerance)
+        assert model.rss == pytest.approx(expected, rel=tolerance, abs=0)
 
 
 def _split_inputs(x, order, tv):
@@ -797,7 +797,7 @@ class TestTiledGrid:
         winner = np.hstack([base, _weights(kind, z, got[0], got[1])[:, None] * design])
         sv = np.linalg.svd(winner, compute_uv=False)
         tolerance = 1e-9 + np.finfo(float).eps * (sv[0] / sv[-1]) ** 2 * (y @ y) / expected[2]
-        assert got[2] == pytest.approx(expected[2], rel=tolerance)
+        assert got[2] == pytest.approx(expected[2], rel=tolerance, abs=0)
         if got[:2] != expected[:2]:
             # small tiles round in the small-matrix kernel, and a time
             # threshold's steep logistic gammas tie to roundoff (ROADMAP
@@ -805,7 +805,7 @@ class TestTiledGrid:
             # to a candidate the reference scores as a tie
             assert tv_kind == TIME and tile_bytes is not None
             tie = _chunked_grid(base, design, y, z, np.array(got[:1]), np.array(got[1:2]), kind)
-            assert tie[2] == pytest.approx(expected[2], rel=tolerance)
+            assert tie[2] == pytest.approx(expected[2], rel=tolerance, abs=0)
 
     def test_time_threshold_memory_is_bounded_by_tiles(self):
         x = 1.0 + 0.01 * np.cumsum(np.random.default_rng(0).normal(size=2001))
@@ -951,7 +951,7 @@ class TestSharedScan:
         fit_lstar(x, 1, 2, tv, gamma_grid=GammaGrid(points=10), refine=False)
         assert len(calls) == 2
 
-        z_sorted = np.sort(regimes._threshold_row_values(tv, x, 1), kind="stable")
+        z_sorted = np.sort(tv.values(x, 1), kind="stable")
         rows = len(z_sorted)
         min_count = regimes._min_count(rows, 0.10, 1)
         positions = regimes._split_positions(z_sorted, min_count)
@@ -1225,3 +1225,92 @@ class TestSimulate:
         m = make_regime_model("ar", [[0.0, 0.5]])
         with pytest.raises(ValueError, match="burn_in"):
             simulate(m, 10, 0.0, burn_in=-5)
+
+    def test_delay_above_the_order_raises_in_simulate_as_in_one_step(self):
+        # a SETAR(0) switching on x_{t-1} reads a lag the model does not have
+        m = make_regime_model(
+            "setar", [[0.5], [-0.5]], thresholds=[0.0], tv=ThresholdVariable(LAGGED_VALUE, 1)
+        )
+        with pytest.raises(ValueError, match="^delay 1 exceeds order 0$"):
+            simulate(m, 10, 0.1, seed=0)
+        with pytest.raises(ValueError, match="^delay 1 exceeds order 0$"):
+            m.one_step(np.arange(10.0))
+
+
+class TestThresholdVariable:
+    @pytest.mark.parametrize("delay, order", [(1, 1), (2, 3), (3, 3)])
+    def test_a_lagged_value_reads_x_t_minus_delay(self, delay, order):
+        x = np.arange(1.0, 11.0)  # x_t = t
+        z = ThresholdVariable(LAGGED_VALUE, delay).values(x, order)
+        # the design rows respond at t = order + 1..n
+        assert z.tolist() == [t - delay for t in range(order + 1, 11)]
+
+    def test_time_is_the_response_index_at_any_order(self):
+        tv = ThresholdVariable(TIME, 5)
+        tv.check_order(0)
+        assert tv.values(np.zeros(6), 2).tolist() == [3.0, 4.0, 5.0, 6.0]
+
+    @pytest.mark.parametrize("delay, order", [(1, 0), (2, 1), (4, 3)])
+    def test_a_delay_above_the_order_is_rejected(self, delay, order):
+        tv = ThresholdVariable(LAGGED_VALUE, delay)
+        message = f"^delay {delay} exceeds order {order}$"
+        with pytest.raises(ValueError, match=message):
+            tv.check_order(order)
+        with pytest.raises(ValueError, match=message):
+            tv.values(np.zeros(10), order)
+        with pytest.raises(ValueError, match=message):
+            fit_setar(np.random.default_rng(0).normal(size=100), order, 2, tv)
+
+
+class TestRefinedTransitionOrder:
+    """fit_lstar's one permutation of the refined vector, with nls_fit stubbed.
+
+    With order 1 the vector is base 0-1, blocks 2-3 and 4-5, gammas 6-7 and
+    cs 8-9.  The stub's standard errors are the positions 0..9, so each
+    reported error names the refined entry it belongs to.
+    """
+
+    @staticmethod
+    def _fit(monkeypatch, refine):
+        def fake_nls(residual, theta0, bounds):
+            theta = refine(theta0)
+            return NlsFit(theta, np.arange(len(theta), dtype=float), 0.0, True, 1)
+
+        x = simulate(make_regime_model("ar", [[0.01, 0.9]]), 200, 0.05, seed=4)
+        monkeypatch.setattr(regimes, "nls_fit", fake_nls)
+        return x, fit_lstar(x, 1, 2, gamma_grid=GammaGrid(points=8))
+
+    # one of the two leaves the thresholds in decreasing order
+    @pytest.mark.parametrize("moved", [list(range(10)), [0, 1, 2, 3, 4, 5, 6, 7, 9, 8]])
+    def test_transitions_are_reported_in_increasing_c(self, monkeypatch, moved):
+        refined = {}
+
+        def refine(theta0):
+            refined["theta"] = theta0[moved] + 0.001
+            return refined["theta"]
+
+        _, model = self._fit(monkeypatch, refine)
+        theta = refined["theta"]
+        first, second = np.argsort(theta[8:], kind="stable")
+        positions = [
+            0, 1, 2 + 2 * first, 3 + 2 * first, 2 + 2 * second, 3 + 2 * second,
+            6 + first, 6 + second, 8 + first, 8 + second,
+        ]
+        reported = [*model.regimes, [t.gamma for t in model.transitions], model.thresholds]
+        assert np.concatenate(reported).tolist() == theta[positions].tolist()
+        assert model.standard_errors.tolist() == positions
+        assert [t.c for t in model.transitions] == model.thresholds.tolist()
+        assert model.thresholds[0] < model.thresholds[1]
+        assert model.converged
+
+    def test_collapsed_thresholds_keep_the_grid_solution(self, monkeypatch):
+        def collapse(theta0):
+            theta = theta0 + 0.001
+            theta[9] = theta[8]
+            return theta
+
+        x, model = self._fit(monkeypatch, collapse)
+        grid = fit_lstar(x, 1, 2, gamma_grid=GammaGrid(points=8), refine=False)
+        assert not model.converged
+        assert model.standard_errors is None
+        assert model.to_dict() == grid.to_dict()

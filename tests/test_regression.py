@@ -59,7 +59,7 @@ class TestOlsFit:
         design = np.column_stack([np.ones(40), rng.normal(size=(40, 3))])
         response = rng.normal(size=40)
         fit = ols_fit(design, response)
-        assert fit.rss == pytest.approx(float(fit.residuals @ fit.residuals), rel=1e-14)
+        assert fit.rss == pytest.approx(float(fit.residuals @ fit.residuals), rel=1e-14, abs=0)
         scale = np.linalg.norm(design, axis=0) * np.linalg.norm(fit.residuals)
         assert np.all(np.abs(design.T @ fit.residuals) < 1e-8 * scale)
 
@@ -85,8 +85,8 @@ class TestOlsFit:
         response = design @ truth + rng.normal(0, 0.01, 440)
         fit = ols_fit(design, response)
         beta, se = normal_equations_oracle(design, response)
-        assert fit.coefficients == pytest.approx(beta, rel=1e-6)
-        assert fit.standard_errors == pytest.approx(se, rel=1e-6)
+        assert fit.coefficients == pytest.approx(beta, rel=1e-6, abs=0)
+        assert fit.standard_errors == pytest.approx(se, rel=1e-6, abs=0)
 
 
 def f_density(x, d1, d2):
@@ -124,7 +124,7 @@ class TestTailProbabilities:
     def test_paper_rejection_case(self):
         # F = 5.14 on (3, 434) rejects at 5%
         ft = f_test(1.0 + 5.14 * 3.0 / 434.0, 1.0, 3, 434)
-        assert ft.statistic == pytest.approx(5.14, rel=1e-12)
+        assert ft.statistic == pytest.approx(5.14, rel=1e-12, abs=0)
         assert ft.p_value < 0.05
 
     def test_f_pvalue_monotone_in_statistic(self):
@@ -191,15 +191,15 @@ class TestIncompleteBeta:
         # 1e-16 / |t|; t_pvalue passes 1 - x as t^2 / (df + t^2) instead
         root = math.sqrt(2.0 + t * t)
         for sign in (1.0, -1.0):
-            assert t_pvalue(sign * t, 1) == pytest.approx(2.0 / math.pi * math.atan(1.0 / t), rel=1e-13)
-            assert t_pvalue(sign * t, 2) == pytest.approx(2.0 / (root * (root + t)), rel=1e-13)
+            assert t_pvalue(sign * t, 1) == pytest.approx(2.0 / math.pi * math.atan(1.0 / t), rel=1e-13, abs=0)
+            assert t_pvalue(sign * t, 2) == pytest.approx(2.0 / (root * (root + t)), rel=1e-13, abs=0)
 
     @pytest.mark.parametrize("d", [1, 2, 7, 30, 150])
     @pytest.mark.parametrize("f", [1e-8, 1e-5, 1e-2, 0.7, 3.0, 40.0, 1e3])
     def test_f2_closed_form(self, f, d):
         # (1 + 2F/d)^(-d/2) = x^(d/2) with x = d / (d + 2F): the rounding of x
         # itself moves it by about d/2 ulps, so d stays small for 1e-13
-        assert f_sf(f, 2, d) == pytest.approx(math.exp(-0.5 * d * math.log1p(2.0 * f / d)), rel=1e-13)
+        assert f_sf(f, 2, d) == pytest.approx(math.exp(-0.5 * d * math.log1p(2.0 * f / d)), rel=1e-13, abs=0)
 
     def test_t_at_large_df_just_below_the_switch(self):
         # a = df/2 = 4478.5 multiplies ln x; x = 0.9996 is taken from 1 - x = 4.0e-4.
@@ -207,6 +207,14 @@ class TestIncompleteBeta:
         # digits, t the double nearest 1.9
         exact = 0.057465203234313738256796693770037948522746422262889
         assert abs(t_pvalue(1.900, 8957) - exact) <= 1e-13 * exact
+
+    def test_t_at_df_9358_just_below_the_switch(self):
+        # x = 0.99968 with a = 4679: the a * ln x prefactor, taken from 1 - x,
+        # was 1.4e-12 off before it was.  The reference is
+        # mpmath.betainc(df/2, 1/2, 0, df/(df + t^2)) at 50 digits, t the double
+        # nearest 10**0.24
+        exact = 0.08227881067342223369642204
+        assert t_pvalue(10**0.24, 9358) == pytest.approx(exact, rel=1e-13, abs=0)
 
     @settings(max_examples=400, derandomize=True, deadline=None)
     @given(
@@ -263,7 +271,7 @@ class TestNlsFit:
         fit = nls_fit(lambda th: y - th[0] * np.exp(th[1] * t), [0.5, -2.0], trace=trace)
         assert len(trace) >= 2
         assert all(a >= b for a, b in zip(trace, trace[1:]))
-        assert trace[-1] == pytest.approx(fit.rss, rel=1e-12)
+        assert trace[-1] == pytest.approx(fit.rss, rel=1e-12, abs=0)
 
     def test_non_finite_residual_raises(self):
         with pytest.raises(NonFiniteResidual):

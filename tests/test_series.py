@@ -123,7 +123,7 @@ class TestRealizedVolatility:
         scaled = ReturnSeries(values=base * scale, origin_length=121)
         v0 = realized_volatility(r0, 20).values
         assert realized_volatility(shifted, 20).values == pytest.approx(v0, abs=1e-14)
-        assert realized_volatility(scaled, 20).values == pytest.approx(v0 * scale, rel=1e-10)
+        assert realized_volatility(scaled, 20).values == pytest.approx(v0 * scale, rel=1e-10, abs=0)
 
     @given(n=st.integers(3, 200), window=st.integers(2, 60))
     @settings(max_examples=60, deadline=None)

@@ -103,8 +103,8 @@ class TestPhillipsPerron:
         e = np.cumsum(rng.normal(size=300))
         a = phillips_perron(e)
         b = phillips_perron(e * 37.5)
-        assert b.z_statistic == pytest.approx(a.z_statistic, rel=1e-10)
-        assert b.p_value == pytest.approx(a.p_value, rel=1e-10)
+        assert b.z_statistic == pytest.approx(a.z_statistic, rel=1e-10, abs=0)
+        assert b.p_value == pytest.approx(a.p_value, rel=1e-10, abs=0)
 
     def test_random_walk_nulls_rarely_rejected(self):
         rejections = 0
@@ -131,8 +131,8 @@ class TestPhillipsPerron:
         ps = [_df_pvalue(s, 400) for s in stats]
         assert all(a <= b + 1e-15 for a, b in zip(ps, ps[1:]))
         # tabulated anchors
-        assert _df_pvalue(-1.95, 500) == pytest.approx(0.05, rel=1e-6)
-        assert _df_pvalue(-2.58, 500) == pytest.approx(0.01, rel=1e-6)
+        assert _df_pvalue(-1.95, 500) == pytest.approx(0.05, rel=1e-6, abs=0)
+        assert _df_pvalue(-2.58, 500) == pytest.approx(0.01, rel=1e-6, abs=0)
 
     def test_bartlett_variance_matches_direct_sum(self):
         rng = np.random.default_rng(5)
@@ -141,4 +141,4 @@ class TestPhillipsPerron:
         direct = u @ u / 200
         for j in range(1, q + 1):
             direct += 2 * (1 - j / (q + 1)) * (u[j:] @ u[:-j]) / 200
-        assert bartlett_long_run_variance(u, q) == pytest.approx(direct, rel=1e-12)
+        assert bartlett_long_run_variance(u, q) == pytest.approx(direct, rel=1e-12, abs=0)
