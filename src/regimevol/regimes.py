@@ -47,6 +47,8 @@ _EIG_RATIO = 1e-12
 _CERTIFY_RATIO = 100 * _EIG_RATIO
 _GRID_CHUNK = 8192
 _TILE_BYTES = 1 << 22
+_LAGGED_TILE_BYTES = 1 << 20
+_OUTER_EXP_LIMIT = 700.0
 _SETAR3_BLOCKS = 128
 _SETAR3_BLOCK_ROWS = 8
 _SETAR3_INCUMBENT_BLOCKS = 32
@@ -938,6 +940,39 @@ class GammaGrid:
         return np.geomspace(self.lo, self.hi, self.points)
 
 
+def _split_logistic(z, c_values):
+    """Logistic weights of one gamma and several c on z, from one outer product.
+
+    Returns ``weights(gamma, c, out)``, which writes G(z; gamma, c_j) into
+    row j of ``out`` for each c_j of ``c`` (taken from ``c_values``).  The
+    exponential splits at m, the middle of z's range:
+    exp(-gamma (z - c)) = exp(gamma (c - m)) * exp(-gamma (z - m)), so a call
+    takes one ``exp`` over the rows and one over ``c``, and fills
+    1 / (1 + e_c e_z) in place with a multiply, an add and a divide.  Neither
+    argument exceeds gamma * h, h the half-range of z and ``c_values``, so
+    while gamma * h is at most ``_OUTER_EXP_LIMIT`` both factors are finite
+    and normal.  Their product overflows where the direct form's ``exp``
+    does, to the same weight 0, and beyond roundoff of the saturation points
+    both forms give exactly 0 and 1.  Each form is within about
+    (4 gamma h + 4) u of the exact weight, relative, u the unit roundoff.  A
+    steeper gamma (on a random walk of half-range 25, above 28) takes the
+    direct form, with the bits of ``_transition_weights``.
+    """
+    mid = z.min() / 2 + z.max() / 2
+    z_mid = z - mid
+    half = max(np.abs(z_mid).max(), np.abs(c_values - mid).max())
+
+    def weights(gamma, c, out):
+        if gamma * half > _OUTER_EXP_LIMIT:
+            return _transition_weights(LOGISTIC, z, gamma, c[:, None], out)
+        with np.errstate(over="ignore"):
+            np.multiply(np.exp(gamma * (c[:, None] - mid)), np.exp(-gamma * z_mid), out=out)
+        np.add(1.0, out, out=out)
+        return np.divide(1.0, out, out=out)
+
+    return weights
+
+
 def _profiled_grid(base, block, y, z, gammas, c_values, kind, time_threshold):
     """Best (gamma, c) over the grid, profiling out the linear coefficients.
 
@@ -947,16 +982,25 @@ def _profiled_grid(base, block, y, z, gammas, c_values, kind, time_threshold):
     Candidates are scanned gamma-major, c-minor, and ties keep the first.
 
     Candidates are scored ``tile`` at a time, in place in a (tile, rows)
-    buffer of at least ``_TILE_BYTES``, so memory grows linearly in rows.
-    The buffer holds a tile's weights w for the w @ cross and w @ block*y
-    products, and is then squared in place for the (w*w) @ auto product;
-    the next tile refills it.  A lagged-value threshold evaluates each
-    candidate's transition on z.  A time threshold requires z to be
-    consecutive integers and every c one of them: G at row i then depends
-    on z[i] - c alone, so each tile evaluates the transition of its gammas
-    once on the lags -(rows-1)..rows-1 and copies each candidate's window
-    of it.  The lags are the same floats as z - c, so the weights are
-    bit-identical to evaluating each candidate.
+    buffer of at least ``_TILE_BYTES`` for a time threshold and
+    ``_LAGGED_TILE_BYTES`` for a lagged value, so memory grows linearly in
+    rows.  The buffer holds a tile's weights w for the w @ cross and
+    w @ block*y products, and is then squared in place for the (w*w) @ auto
+    product; the next tile refills it.
+
+    A lagged-value threshold evaluates each candidate's transition on z.  A
+    logistic one takes its weights from one outer product per run of one
+    gamma in a tile (``_split_logistic``): an ``exp`` over the rows and one
+    over the run's c values, O(rows) per gamma and never a table over the
+    whole gamma grid.  An exponential one is evaluated directly: its
+    2 gamma z c term does not split into a row factor times a c factor.
+
+    A time threshold requires z to be consecutive integers and every c one
+    of them: G at row i then depends on z[i] - c alone, so each tile
+    evaluates the transition of its gammas once on the lags
+    -(rows-1)..rows-1 and copies each candidate's window of it.  The lags
+    are the same floats as z - c, so the weights are bit-identical to
+    evaluating each candidate.
 
     ``_first_min`` scores chunks of whole tiles on up to two worker threads.
     Each thread makes its own tile buffers, once per grid, through
@@ -965,13 +1009,19 @@ def _profiled_grid(base, block, y, z, gammas, c_values, kind, time_threshold):
 
     Every product (w @ cross, w @ block*y, w*w @ auto) has ``tile`` rows:
     chunks hold whole tiles, and the grid's short last tile reaches back
-    over candidates already scored.  So each product stays above the 1e6
-    multiply-adds under which OpenBLAS switches to a small-matrix kernel.
-    Its blocked kernel gives a row the same bits whatever the row count, so
-    the RSS does not depend on the tile or chunk size; with 1 MiB tiles the
-    small kernel moved it in the last bits, and the winner with it where
-    candidates tie to roundoff, as on a random walk's plateau of steep
-    gammas.
+    over candidates already scored.  So the tiles are the same whatever the
+    chunk size and the number of workers, and so is the RSS, to the bit.  A
+    time threshold's 4 MiB tiles keep each product above the 1e6
+    multiply-adds under which OpenBLAS switches to a small-matrix kernel,
+    and the blocked kernel gives a row the same bits whatever the row
+    count; that keeps the time grid's bits, which matter there, since its
+    steep logistic gammas tie to roundoff.  A lagged value's 1 MiB tiles,
+    half of a 2 MiB L2 cache, are faster, and most of their products run in
+    the small-matrix kernel, whose bits depend on a row's position in the
+    tile but not on the buffer's alignment.  So the tile size is a
+    constant, never read from the host: another size would move the last
+    bits, and with them a winner where candidates tie to roundoff,
+    as on a random walk's plateau of steep gammas.
     """
     rows, kb = base.shape
     ka = block.shape[1]
@@ -986,19 +1036,28 @@ def _profiled_grid(base, block, y, z, gammas, c_values, kind, time_threshold):
 
     n_c = len(c_values)
     n_candidates = len(gammas) * n_c
-    tile = min(n_candidates, -(-_TILE_BYTES // (8 * rows)))
+    tile_bytes = _TILE_BYTES if time_threshold else _LAGGED_TILE_BYTES
+    tile = min(n_candidates, -(-tile_bytes // (8 * rows)))
     per_thread = threading.local()
     if time_threshold:
         lags = np.arange(-(rows - 1), rows, dtype=float)
         # window start in ``lags`` for each c: lags[start + i] == z[i] - c
         window_start = (z[0] - c_values).astype(np.intp) + (rows - 1)
+    elif kind == LOGISTIC:
+        split = _split_logistic(z, c_values)
 
     def fill(picks, weights):
         pick_g, pick_c = picks // n_c, picks % n_c
         if not time_threshold:
-            return _transition_weights(
-                kind, z, gammas[pick_g, None], c_values[pick_c, None], weights
-            )
+            if kind != LOGISTIC:
+                return _transition_weights(
+                    kind, z, gammas[pick_g, None], c_values[pick_c, None], weights
+                )
+            # candidates are gamma-major, so a tile is a few runs of one gamma
+            cuts = [0, *(np.flatnonzero(np.diff(pick_g)) + 1), len(picks)]
+            for lo, hi in zip(cuts, cuts[1:]):
+                split(gammas[pick_g[lo]], c_values[pick_c[lo:hi]], weights[lo:hi])
+            return weights
         g_first = pick_g[0]
         g_span = gammas[g_first : pick_g[-1] + 1, None]
         table = _transition_weights(kind, lags[None, :], g_span, 0.0)
@@ -1050,8 +1109,9 @@ def _profiled_grid(base, block, y, z, gammas, c_values, kind, time_threshold):
         rhs[:, kb:] = rhs_tail
         return _screened_rss(gram, rhs, yy)
 
-    # each thread holds a (tile, rows) buffer: two threads at most keep the
-    # grid within two of them, and its peak memory the same on any machine
+    # each thread holds a (tile, rows) buffer of the branch's tile bytes (4 MiB
+    # for time, 1 MiB for lagged values): two threads at most keep the grid
+    # within two of them, and its peak memory the same on any machine
     workers = min(_WORKERS, 2)
     chunk = tile * max(1, _GRID_CHUNK // (workers * tile))
     best, rss = _first_min(n_candidates, tiled, chunk, workers)

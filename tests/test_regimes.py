@@ -1,3 +1,6 @@
+import json
+import os
+import subprocess
 import sys
 import threading
 import time
@@ -743,8 +746,8 @@ class TestTiledGrid:
         computed = regimes._profiled_grid
 
         def recording(*args):
-            calls.append(computed(*args))
-            return calls[-1]
+            calls.append((computed(*args), len(args[4]) * len(args[5])))
+            return calls[-1][0]
 
         with monkeypatch.context() as patch:
             patch.setattr(regimes, "_profiled_grid", recording)
@@ -764,11 +767,32 @@ class TestTiledGrid:
         # boundary, so each last tile reaches back
         x = simulate(lstar_lagged_generator, 300, 0.1, seed=21)
         monkeypatch.setattr(regimes, "_TILE_BYTES", 8 * 299 * 50)
+        monkeypatch.setattr(regimes, "_LAGGED_TILE_BYTES", 8 * 299 * 50)
         default = self.grid_calls(monkeypatch, x, tv_kind, kind)
         assert len(default) == 2
         for chunk in (7, 64, 1000):
             monkeypatch.setattr(regimes, "_GRID_CHUNK", chunk)
             assert self.grid_calls(monkeypatch, x, tv_kind, kind) == default
+
+    @pytest.mark.parametrize("kind", ["logistic", "exponential"])
+    def test_default_lagged_tile_does_not_depend_on_chunks_or_workers(
+        self, monkeypatch, lstar_lagged_generator, kind
+    ):
+        # most products of the default lagged tiles run in the small-matrix
+        # kernel too; a chunk of 7 or 64 candidates still holds one whole
+        # tile, and one of 1,000 one or two
+        x = simulate(lstar_lagged_generator, 300, 0.1, seed=21)
+        tile = -(-regimes._LAGGED_TILE_BYTES // (8 * 299))
+        monkeypatch.setattr(regimes, "_WORKERS", 1)
+        default = self.grid_calls(monkeypatch, x, LAGGED_VALUE, kind)
+        assert len(default) == 2
+        # several tiles per grid, and the last one reaches back
+        assert all(n > 2 * tile and n % tile for _, n in default)
+        for workers in (1, 2):
+            monkeypatch.setattr(regimes, "_WORKERS", workers)
+            for chunk in (7, 64, 1000):
+                monkeypatch.setattr(regimes, "_GRID_CHUNK", chunk)
+                assert self.grid_calls(monkeypatch, x, LAGGED_VALUE, kind) == default
 
     @pytest.mark.parametrize("tile_bytes", [8 * 149 * 37, None])
     @pytest.mark.parametrize("kind", ["logistic", "exponential"])
@@ -787,8 +811,10 @@ class TestTiledGrid:
             base = np.hstack([design, first[:, None] * design])
         if tile_bytes is not None:
             monkeypatch.setattr(regimes, "_TILE_BYTES", tile_bytes)
+            monkeypatch.setattr(regimes, "_LAGGED_TILE_BYTES", tile_bytes)
         # the grid does not end on a tile boundary, so its last tile reaches back
-        assert len(gammas) * len(c_values) % -(-regimes._TILE_BYTES // (8 * len(y)))
+        branch_bytes = regimes._TILE_BYTES if tv_kind == TIME else regimes._LAGGED_TILE_BYTES
+        assert len(gammas) * len(c_values) % -(-branch_bytes // (8 * len(y)))
 
         expected = _chunked_grid(base, design, y, z, gammas, c_values, kind)
         got = regimes._profiled_grid(base, design, y, z, gammas, c_values, kind, tv_kind == TIME)
@@ -819,6 +845,92 @@ class TestTiledGrid:
         # normal equations with their solve (a few MB, about one tile) and
         # inputs of a few columns of 2,000 rows: under four tiles
         assert peak < 4 * regimes._TILE_BYTES
+
+    @pytest.mark.parametrize("kind", ["logistic", "exponential"])
+    def test_lagged_memory_is_bounded_by_tiles(self, monkeypatch, kind):
+        x = 1.0 + 0.01 * np.cumsum(np.random.default_rng(0).normal(size=2001))
+
+        def peak(points, workers):
+            monkeypatch.setattr(regimes, "_WORKERS", workers)
+            tracemalloc.start()
+            try:
+                # 201 c values of 2,000 rows keep the 400-point grid quick
+                fit_lstar(
+                    x, 1, 1, ThresholdVariable(LAGGED_VALUE, 1), gamma_grid=GammaGrid(points=points),
+                    min_fraction=0.45, transition=kind, refine=False,
+                )
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # two 1 MiB (tile, rows) buffers, _GRID_CHUNK 4x4 normal equations
+        # in flight on the two grid threads with their screen and solve
+        # (about 600 bytes a candidate, 5 MB) and inputs of a few columns of
+        # 2,000 rows: under eight lagged tiles
+        assert peak(40, 2) < 8 * regimes._LAGGED_TILE_BYTES
+        # on one thread the peak does not depend on how two threads' chunks
+        # overlap; a table of exps over the whole gamma grid would grow it by
+        # 6.4 MB (360 more gammas of 2,000 rows), more than one tile
+        assert peak(400, 1) < peak(40, 1) + regimes._LAGGED_TILE_BYTES
+
+
+class TestSplitLogistic:
+    """Lagged-value logistic weights from one outer product per gamma."""
+
+    @staticmethod
+    def both_forms(z, c, gamma):
+        split = regimes._split_logistic(z, c)(gamma, c, np.empty((len(c), len(z))))
+        return split, regimes._transition_weights("logistic", z, gamma, c[:, None])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.floats(-3.0, 3.0),
+        offset=st.floats(-5.0, 5.0),
+        steepness=st.floats(0.0, 1.0),
+    )
+    def test_within_the_roundoff_of_both_forms(self, seed, scale, offset, steepness):
+        rng = np.random.default_rng(seed)
+        z = 10.0**scale * (offset + rng.normal(size=200))
+        c = np.append(rng.choice(z, 30), rng.uniform(z.min(), z.max(), 30))
+        mid = z.min() / 2 + z.max() / 2
+        half = max(np.abs(z - mid).max(), np.abs(c - mid).max())
+        # gamma * half from 0.01 up to the limit of the split form
+        gamma = 10.0 ** (-2 + steepness * (np.log10(regimes._OUTER_EXP_LIMIT) + 2)) / half
+        assume(gamma * half <= regimes._OUTER_EXP_LIMIT)
+        split, direct = self.both_forms(z, c, gamma)
+        # Each form is within (4 gamma h + 4) u of the exact weight,
+        # relative: the direct argument -gamma (z - c), up to 2 gamma h,
+        # takes two roundings (4 gamma h u after exp), as do the split
+        # form's two arguments of up to gamma h each; the rest is one
+        # rounding for each exp, the product, the add and the divide.  So
+        # the two forms differ by at most twice that.  Below the smallest
+        # normal number a weight carries an absolute error instead.
+        u = np.finfo(float).eps / 2
+        bound = 2 * (4 * gamma * half + 4) * u
+        assert np.all(np.abs(split - direct) <= bound * direct + np.finfo(float).tiny)
+
+    @pytest.mark.parametrize("steepness", [1.0001, 2.0, 1e6])
+    def test_steeper_gammas_take_the_direct_form_bit_for_bit(self, steepness):
+        # a random walk's half-range is about 25, so gammas above 28 fall back
+        z = np.cumsum(np.random.default_rng(3).normal(size=500))
+        c = np.sort(z)[75:425]
+        mid = z.min() / 2 + z.max() / 2
+        half = max(np.abs(z - mid).max(), np.abs(c - mid).max())
+        split, direct = self.both_forms(z, c, steepness * regimes._OUTER_EXP_LIMIT / half)
+        assert np.array_equal(split, direct)
+
+    def test_saturated_weights_are_exactly_0_and_1(self):
+        z = np.linspace(-1.0, 1.0, 401)
+        c = z[::8]
+        gamma = 0.95 * regimes._OUTER_EXP_LIMIT  # half-range 1: the split form
+        split, direct = self.both_forms(z, c, gamma)
+        arg = gamma * (z - c[:, None])
+        # exp(-38) < u / 2, so 1 + e rounds to 1; exp overflows above 709.79
+        ones, zeros = arg > 38, arg < -710
+        assert ones.sum() > 1000 and zeros.sum() > 1000
+        assert np.all(direct[ones] == 1) and np.all(split[ones] == 1)
+        assert np.all(direct[zeros] == 0) and np.all(split[zeros] == 0)
 
 
 def _eigvalsh_screened_rss(gram, rhs, yy, feasible=True):
@@ -1067,7 +1179,7 @@ class TestParallelScan:
         x = simulate(lstar_lagged_generator, 300, 0.1, seed=5)
         tv = ThresholdVariable(LAGGED_VALUE, 1)
         grid = GammaGrid(points=40)
-        monkeypatch.setattr(regimes, "_TILE_BYTES", 8 * 299 * 50)
+        monkeypatch.setattr(regimes, "_LAGGED_TILE_BYTES", 8 * 299 * 50)
         monkeypatch.setattr(regimes, "_WORKERS", 1)
         serial = _fit_bits(fit_lstar(x, 1, 1, tv, gamma_grid=grid, refine=False))
         monkeypatch.setattr(regimes, "_WORKERS", 2)
@@ -1078,6 +1190,39 @@ class TestParallelScan:
                 assert _fit_bits(fit_lstar(x, 1, 1, tv, gamma_grid=grid, refine=False)) == serial
         finally:
             sys.setswitchinterval(interval)
+
+    def test_blas_threads_cannot_move_a_lagged_fit(self, lstar_lagged_generator):
+        # tier-1 pins BLAS to one thread, which leaves two grid workers on
+        # two or more CPUs; users run it unpinned, which leaves one.  Simulated lagged-LSTAR
+        # series are identified, unlike the steep-gamma plateau of a random
+        # walk (ROADMAP item 1), so every fit must be the same
+        child = (
+            "import json, sys\n"
+            "from regimevol import fit_lstar\n"
+            "from regimevol.regimes import LAGGED_VALUE, ThresholdVariable\n"
+            "tv = ThresholdVariable(LAGGED_VALUE, 1)\n"
+            "x = json.load(sys.stdin)\n"
+            "fits = []\n"
+            "for kind in ('logistic', 'exponential'):\n"
+            "    for transitions in (1, 2):\n"
+            "        m = fit_lstar(x, 1, transitions, tv, transition=kind)\n"
+            "        fits.append([m.to_dict(), m.fitted.tolist()])\n"
+            "print(json.dumps(fits))\n"
+        )
+        series = json.dumps(simulate(lstar_lagged_generator, 500, 0.1, seed=0).tolist())
+        src = os.path.dirname(os.path.dirname(regimes.__file__))
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        fits = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+            proc = subprocess.run(
+                [sys.executable, "-c", child], input=series, capture_output=True, text=True,
+                env=env, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            fits.append(json.loads(proc.stdout.splitlines()[-1]))
+        assert len(fits[0]) == 4
+        assert fits[0] == fits[1]
 
     def test_infeasible_grid_raises_alike_and_joins_its_threads(self, monkeypatch):
         # as in test_infeasible_transition_is_named, over a grid of several chunks
