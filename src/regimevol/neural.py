@@ -6,8 +6,9 @@ prediction.  Training is full-batch gradient descent on half the residual
 sum of squares with a backtracking line search and multiple random restarts;
 gradients are exact and analytic.  The restarts descend in lockstep: each
 descent step makes one gradient call, and each line-search round one forward
-call, for all restarts still going, and a restart that stops leaves the
-batch.  Memory is O(restarts x hidden units x rows) up to a cap, past which
+call, for the whole batch, and boolean masks pick the rows a round updates
+in place.  A restart that stops keeps its row, which is not updated again.
+Memory is O(restarts x hidden units x rows) up to a cap, past which
 the restarts descend in groups.  By default training runs on the
 standardized series and the weights are mapped back to raw units exactly.
 """
@@ -291,78 +292,65 @@ def _lockstep_descent(theta, m, d, skip, inputs, targets, max_iters, tol):
     its loss is not finite at its initial weights), the iterations and the
     converged flags, one per restart.  Each restart keeps its own step size
     and takes the first halving of it that passes the Armijo test, as a
-    one-at-a-time search would.  A descent step makes one gradient call for
-    the restarts still descending, then one forward call per line-search
-    round for those still searching; a round tries a step and its next
-    halvings at once (``_HALVINGS``).  A restart leaves the batch when it
+    one-at-a-time search would.  A descent step makes one gradient call, then
+    one forward call per line-search round, each on the whole batch; a round
+    tries a step and its next halvings at once (``_HALVINGS``) and writes the
+    steps it accepts into their rows in place.  A restart stops when it
     converges - its gradient is zero, no step of at least ``_MIN_STEP``
-    passes, or its relative loss drop falls below ``tol`` - and the others go
-    on, up to ``max_iters`` steps.
+    passes, or its relative loss drop falls below ``tol`` - and its row is
+    not updated again; the others go on, up to ``max_iters`` steps.
     """
     theta = np.array(theta, dtype=float)
-    n_restarts = len(theta)
-    loss = np.full(n_restarts, np.nan)
-    iterations = np.zeros(n_restarts, dtype=int)
-    converged = np.zeros(n_restarts, dtype=bool)
+    loss = np.full(len(theta), np.nan)
+    iterations = np.zeros(len(theta), dtype=int)
+    converged = np.zeros(len(theta), dtype=bool)
     activations, out = _forward(theta, m, d, skip, inputs)
     resid = targets - out
     half = 0.5 * np.einsum("rn,rn->r", resid, resid)
-    # the restarts still descending, and their state, one row each
-    live = np.flatnonzero(np.isfinite(half))
-    state = (theta[live], activations[live], resid[live], half[live])
-    step = np.ones(live.size)
+    live = np.isfinite(half)
+    # one row per live restart: its weights, activations, residuals and half-RSS
+    state = theta[live], activations[live], resid[live], half[live]
+    weights, activations, resid, half = state
+    n_live = len(weights)
+    going = np.ones(n_live, dtype=bool)
+    stopped_at = np.full(n_live, max_iters)
+    step = np.ones(n_live)
     for iteration in range(1, max_iters + 1):
-        if not live.size:
+        if not going.any():
             break
-        weights, activations, resid, half = state
         grad = _gradient(weights, m, d, skip, inputs, activations, resid)
         gnorm2 = np.einsum("rw,rw->r", grad, grad)
+        before = half.copy()
         alpha = step.copy()
-        accepted = np.zeros(live.size, dtype=bool)
-        searching = np.flatnonzero(gnorm2 != 0.0)
-        new = None
-        while searching.size:
-            # row (k, i): restart searching[i] at alpha / 2**k
-            trials = _HALVINGS[:, None] * alpha[searching]
-            candidate = (weights[searching] - trials[..., None] * grad[searching]).reshape(
-                -1, weights.shape[1]
-            )
+        accepted = np.zeros(n_live, dtype=bool)
+        searching = going & (gnorm2 != 0.0)
+        while searching.any():
+            # row (k, i): restart i at alpha / 2**k
+            trials = _HALVINGS[:, None] * alpha
+            candidate = (weights - trials[..., None] * grad).reshape(-1, weights.shape[1])
             cand_activations, cand_out = _forward(candidate, m, d, skip, inputs)
             cand_resid = targets - cand_out
             cand_half = 0.5 * np.einsum("rn,rn->r", cand_resid, cand_resid)
             tried = cand_half.reshape(trials.shape)
             passed = (trials >= _MIN_STEP) & np.isfinite(tried) & (
-                tried <= half[searching] - _ARMIJO * trials * gnorm2[searching]
+                tried <= half - _ARMIJO * trials * gnorm2
             )
             first = passed.argmax(axis=0)
-            ok = passed.any(axis=0)
-            rows = first * searching.size + np.arange(searching.size)
-            found = (candidate, cand_activations, cand_resid, cand_half)
-            if new is None and searching.size == live.size and ok.all():
-                new = tuple(a[rows] for a in found)  # the common case: one round for all
-            else:
-                if new is None:
-                    new = tuple(a.copy() for a in state)
-                for target, value in zip(new, found):
-                    target[searching[ok]] = value[rows[ok]]
-            accepted[searching[ok]] = True
-            alpha[searching] *= np.where(ok, _HALVINGS[first], 0.5 * _HALVINGS[-1])
-            failed = searching[~ok]
-            searching = failed[alpha[failed] >= _MIN_STEP]
+            ok = searching & passed.any(axis=0)
+            rows = (first * n_live + np.arange(n_live))[ok]
+            for target, value in zip(state, (candidate, cand_activations, cand_resid, cand_half)):
+                target[ok] = value[rows]
+            accepted |= ok
+            factor = np.where(ok, _HALVINGS[first], 0.5 * _HALVINGS[-1])
+            np.multiply(alpha, factor, out=alpha, where=searching)
+            searching &= ~ok & (alpha >= _MIN_STEP)
         # a restart without an acceptable step sits at a local minimum and stays there
-        if new is not None:
-            state = new
-        relative_drop = (half - state[3]) / np.maximum(half, 1e-300)
+        relative_drop = (before - half) / np.maximum(before, 1e-300)
         step = np.minimum(alpha * 2.0, 1e6)
-        stop = ~accepted | (relative_drop < tol)
-        if stop.any():
-            leaving = live[stop]
-            theta[leaving], loss[leaving] = state[0][stop], state[3][stop]
-            iterations[leaving], converged[leaving] = iteration, True
-            keep = ~stop
-            live, step = live[keep], step[keep]
-            state = tuple(a[keep] for a in state)
-    theta[live], loss[live], iterations[live] = state[0], state[3], max_iters
+        stop = going & (~accepted | (relative_drop < tol))
+        stopped_at[stop] = iteration
+        going &= ~stop
+    theta[live], loss[live], iterations[live], converged[live] = weights, half, stopped_at, ~going
     return theta, loss, iterations, converged
 
 
@@ -382,9 +370,10 @@ def train_nnet_ar(series, m: int, d: int, config: TrainConfig | None = None) -> 
     until the relative loss change falls below ``tol`` or ``max_iters``, and
     the restart with the lowest final RSS wins (index breaks ties).  All
     restarts descend in lockstep (see ``_lockstep_descent``), in groups when
-    the series is long (``_BATCH_VALUES``); one that stops leaves the batch,
-    and each gets the weights it would get alone.  Restarts whose loss is not
-    finite at their initial weights are dropped; if all are, NonFiniteLoss.
+    the series is long (``_BATCH_VALUES``); one that stops keeps its row,
+    not updated again, and each gets the weights it would get alone.
+    Restarts whose loss is not finite at their initial weights are dropped;
+    if all are, NonFiniteLoss.
     """
     check_network(m, d)
     cfg = config or TrainConfig()

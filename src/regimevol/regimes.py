@@ -526,20 +526,14 @@ def _screened_rss(gram: np.ndarray, rhs: np.ndarray, yy, feasible=True) -> np.nd
     if np.any(doubtful):
         eigs = np.linalg.eigvalsh(gram[doubtful])
         passed[doubtful] = (eigs[:, 0] > eigs[:, -1] * _EIG_RATIO) & (eigs[:, -1] > 0)
-    feasible = feasible & passed
-    every = np.all(feasible)
-    if not every:
-        # usually every candidate passes, and the stack is solved uncopied
-        gram, rhs = gram[feasible], rhs[feasible]
-        yy = np.broadcast_to(yy, feasible.shape)[feasible]
+    scored = feasible & passed
+    # an identity stand-in and a zero right-hand side keep the Grams that are
+    # not scored out of the solve's way: no singular matrix, no overflow
+    gram, rhs = gram.copy(), rhs.copy()
+    gram[~scored], rhs[~scored] = np.eye(gram.shape[-1]), 0.0
     beta = np.linalg.solve(gram, rhs[..., None])[..., 0]
-    vals = yy - np.einsum("mk,mk->m", rhs, beta)
-    vals = np.where(np.isfinite(vals), np.maximum(vals, 0.0), np.inf)
-    if every:
-        return vals
-    rss = np.full(len(feasible), np.inf)
-    rss[feasible] = vals
-    return rss
+    rss = yy - np.einsum("mk,mk->m", rhs, beta)
+    return np.where(scored & np.isfinite(rss), np.maximum(rss, 0.0), np.inf)
 
 
 def _segment_rss(sxx, sxy, syy, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
@@ -873,7 +867,11 @@ def fit_setar(
     high = _segment_rss(sxx, sxy, syy, positions, zeros + len(y))
 
     if n_regimes == 2:
-        best, _ = _first_min(len(positions), lambda lo, hi: low[lo:hi] + high[lo:hi])
+        total = low + high
+        # argmin keeps the first of equal values: ties go to the smallest threshold
+        best = int(np.argmin(total))
+        if total[best] == np.inf:
+            raise NoFeasibleThreshold("every candidate threshold is rank deficient")
         cut_positions = positions[[best]]
     else:
         a, b, _ = _three_regime_split(sxx, sxy, syy, positions, min_count, low, high)

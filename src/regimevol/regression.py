@@ -64,14 +64,6 @@ class OlsFit:
     n_obs: int
     n_params: int
 
-    @property
-    def df_resid(self) -> int:
-        return self.n_obs - self.n_params
-
-    def t_statistics(self) -> np.ndarray:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return self.coefficients / self.standard_errors
-
 
 @dataclass(frozen=True)
 class FTestResult:

@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -227,6 +228,11 @@ class TestFitSetar:
         x = np.linspace(0.0, 1.0, 30) ** 2
         with pytest.raises((NoFeasibleThreshold, Exception)):
             fit_setar(x, 1, 2, min_fraction=0.6)
+
+    def test_every_threshold_rank_deficient(self):
+        # a constant series makes the lag column repeat the intercept in every regime
+        with pytest.raises(NoFeasibleThreshold, match="every candidate threshold is rank deficient"):
+            fit_setar(np.ones(60), 1, 2, ThresholdVariable(TIME))
 
     def test_time_threshold_grid(self):
         gen = make_regime_model(
@@ -1024,8 +1030,54 @@ class TestCertifiedScreen:
         assert calls == []
 
 
+class TestScreenedSolve:
+    """One solve over the whole stack, with stand-ins for the Grams not scored."""
+
+    SHAPES = ("good", "short", "singular", "good", "rejected", "short", "good")
+
+    def stack(self, scale):
+        rng = np.random.default_rng(5)
+        grams, rhss, yys = [], [], []
+        for shape in self.SHAPES:
+            x = rng.normal(size=(40, 3))
+            y = x @ [0.5, -1.0, 2.0] + rng.normal(size=40)
+            if shape == "rejected":
+                # an eigenvalue ratio near 1e-16, far under _EIG_RATIO
+                x[:, 2] = x[:, 1] + 1e-8 * rng.normal(size=40)
+            x, y = x * scale, y * scale
+            gram, rhs = x.T @ x, x.T @ y
+            if shape == "singular":
+                # the last row and column repeat the second: singular to the bit
+                gram, rhs = gram[np.ix_([0, 1, 1], [0, 1, 1])], rhs[[0, 1, 1]]
+            grams.append(gram)
+            rhss.append(rhs)
+            yys.append(y @ y)
+        feasible = np.array([shape != "short" for shape in self.SHAPES])
+        return np.stack(grams), np.stack(rhss), np.array(yys), feasible
+
+    @pytest.mark.parametrize("scale", [1.0, 1e100])
+    def test_scored_entries_are_each_grams_own_solve(self, scale):
+        gram, rhs, yy, feasible = self.stack(scale)
+        singular = self.SHAPES.index("singular")
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(gram[singular], rhs[singular])
+        # neither the singular Gram nor the rejected one may raise or warn,
+        # also at 1e100, where Grams and right-hand sides are near 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rss = regimes._screened_rss(gram, rhs, yy, feasible)
+        for i, shape in enumerate(self.SHAPES):
+            if shape != "good":
+                assert rss[i] == np.inf, shape
+                continue
+            beta = np.linalg.solve(gram[i], rhs[i])
+            # the product sums in the order of the stacked einsum
+            assert rss[i] == max(yy[i] - np.einsum("k,k->", rhs[i], beta), 0.0)
+            assert 0.0 < rss[i] < np.inf
+
+
 class TestSharedScan:
-    """The one first-wins scan behind the SETAR and STAR grids."""
+    """The first-wins rule of the SETAR and STAR grids, whatever the chunk size."""
 
     @pytest.mark.parametrize("chunk", [7, 64])
     @pytest.mark.parametrize("n_regimes", [2, 3])
@@ -1108,8 +1160,8 @@ class TestParallelScan:
     @pytest.mark.parametrize(
         "n, fit, pooled",
         [
-            # SETAR-2 needs over 8,192 thresholds for a second chunk
-            pytest.param(12_000, lambda x, tv: fit_setar(x, 1, 2, tv), True, id="setar2"),
+            # SETAR-2 takes one argmin over its 12,000 thresholds on the calling thread
+            pytest.param(12_000, lambda x, tv: fit_setar(x, 1, 2, tv), False, id="setar2"),
             # the pruned 3-regime scan runs on the calling thread
             pytest.param(300, lambda x, tv: fit_setar(x, 1, 3, tv), False, id="setar3"),
             *[
@@ -1150,8 +1202,8 @@ class TestParallelScan:
             assert threading.active_count() == threads
         assert results[2] == results[1]
         assert results[3] == results[1]
-        # every grid here spans several chunks, so the pool ran where the
-        # scan uses one; one worker never starts one
+        # every STAR grid here spans several chunks, so the pool ran where
+        # the scan uses one; one worker never starts one
         assert pools[1] == []
         assert bool(pools[2]) is pooled and bool(pools[3]) is pooled
 
