@@ -14,7 +14,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import EmptyFile, IoError, ParseError
+from .errors import DimensionMismatch, EmptyFile, IoError, ParseError
 from .neural import NnetArModel
 from .regimes import RegimeModel
 from .series import PriceSeries, series_values
@@ -179,7 +179,14 @@ def load_model_json(path):
         raise ParseError(f"cannot open {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
-    return model_from_dict(payload)
+    if not isinstance(payload, dict):
+        raise ParseError(f"{path}: expected a JSON object, got {type(payload).__name__}")
+    try:
+        return model_from_dict(payload)
+    except KeyError as exc:
+        raise ParseError(f"{path}: missing key {exc}") from exc
+    except (DimensionMismatch, TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def emit_plot_data(model, path, series) -> None:

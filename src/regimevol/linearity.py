@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SeriesTooShort
+from .regimes import TIME, ThresholdVariable
 from .regression import FTestResult, OlsFit, TTestResult, f_test, ols_fit, t_test
 from .series import lag_design, series_values
 
@@ -43,9 +44,10 @@ def taylor_transition_approx(h: float) -> float:
     return h / 4.0 - h**3 / 48.0
 
 
-def _threshold_vector(threshold, n: int, rows: int, ar_order: int) -> np.ndarray:
+def _threshold_vector(threshold, x: np.ndarray, rows: int, ar_order: int) -> np.ndarray:
     if threshold is None:
-        return np.arange(ar_order + 1, n + 1, dtype=float)
+        return ThresholdVariable(TIME).values(x, ar_order)
+    n = len(x)
     z = np.asarray(threshold, dtype=float)
     if z.shape == (n,):
         return z[ar_order:]
@@ -69,7 +71,7 @@ def _run_test(series, ar_order: int, significance: float, threshold, variant: st
 
     base, y = lag_design(x, ar_order)
     rows = len(y)
-    z = _threshold_vector(threshold, n, rows, ar_order)
+    z = _threshold_vector(threshold, x, rows, ar_order)
     powers = np.column_stack([z, z**2, z**3])
 
     if variant == ZERO_ORDER:

@@ -13,7 +13,6 @@ CPUs that BLAS leaves idle.
 from __future__ import annotations
 
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -208,11 +207,32 @@ class RegimeModel:
     converged: bool = True
 
     def __post_init__(self):
+        if self.kind not in ("ar", "setar", "lstar", "estar"):
+            raise ValueError(f"kind must be one of ar, setar, lstar, estar, got {self.kind!r}")
         thresholds = np.asarray(self.thresholds, dtype=float)
         object.__setattr__(self, "thresholds", thresholds)
-        object.__setattr__(self, "regimes", tuple(np.asarray(r, float) for r in self.regimes))
+        regimes = tuple(np.asarray(r, float) for r in self.regimes)
+        object.__setattr__(self, "regimes", regimes)
         props = np.asarray(self.regime_proportions, dtype=float)
         object.__setattr__(self, "regime_proportions", props)
+        for j, r in enumerate(regimes):
+            if r.shape != (self.order + 1,):
+                raise ValueError(
+                    f"regimes[{j}] has {r.size} coefficients, order {self.order} needs {self.order + 1}"
+                )
+        ar = self.kind == "ar"
+        if len(regimes) != 1 if ar else len(regimes) < 2:
+            needs = "1" if ar else "at least 2"
+            raise ValueError(f"regimes: {needs} expected for {self.kind}, got {len(regimes)}")
+        smooth = self.kind in ("lstar", "estar")
+        for name, got, needs in (
+            ("thresholds", len(thresholds), len(regimes) - 1),
+            ("transitions", len(self.transitions), len(regimes) - 1 if smooth else 0),
+        ):
+            if got != needs:
+                raise ValueError(
+                    f"{name}: {needs} expected for {self.kind} with {len(regimes)} regimes, got {got}"
+                )
         if np.any(np.diff(thresholds) <= 0):
             raise ValueError("thresholds must be strictly increasing")
         if len(props) and abs(props.sum() - 1.0) > 1e-12:
@@ -308,9 +328,7 @@ class RegimeModel:
             rss=float(payload.get("rss", 0.0)),
             fitted=np.empty(0),
             residuals=np.empty(0),
-            regime_proportions=np.array(
-                payload.get("regime_proportions", [1.0] * len(payload["regimes"])), dtype=float
-            ),
+            regime_proportions=np.array(payload.get("regime_proportions", []), dtype=float),
             converged=bool(payload.get("converged", True)),
         )
 
@@ -984,7 +1002,7 @@ def _profiled_grid(base, block, y, z, gammas, c_values, kind, time_threshold):
     ``_LAGGED_TILE_BYTES`` for a lagged value, so memory grows linearly in
     rows.  The buffer holds a tile's weights w for the w @ cross and
     w @ block*y products, and is then squared in place for the (w*w) @ auto
-    product; the next tile refills it.
+    product; the chunk's next tile refills it.
 
     A lagged-value threshold evaluates each candidate's transition on z.  A
     logistic one takes its weights from one outer product per run of one
@@ -1001,9 +1019,8 @@ def _profiled_grid(base, block, y, z, gammas, c_values, kind, time_threshold):
     evaluating each candidate.
 
     ``_first_min`` scores chunks of whole tiles on up to two worker threads.
-    Each thread makes its own tile buffers, once per grid, through
-    ``threading.local``, and a chunk is sized so that the workers together
-    hold about ``_GRID_CHUNK`` candidates at a time.
+    Each chunk makes its own weights buffer, and a chunk is sized so that
+    the workers together hold about ``_GRID_CHUNK`` candidates at a time.
 
     Every product (w @ cross, w @ block*y, w*w @ auto) has ``tile`` rows:
     chunks hold whole tiles, and the grid's short last tile reaches back
@@ -1036,7 +1053,6 @@ def _profiled_grid(base, block, y, z, gammas, c_values, kind, time_threshold):
     n_candidates = len(gammas) * n_c
     tile_bytes = _TILE_BYTES if time_threshold else _LAGGED_TILE_BYTES
     tile = min(n_candidates, -(-tile_bytes // (8 * rows)))
-    per_thread = threading.local()
     if time_threshold:
         lags = np.arange(-(rows - 1), rows, dtype=float)
         # window start in ``lags`` for each c: lags[start + i] == z[i] - c
@@ -1072,14 +1088,7 @@ def _profiled_grid(base, block, y, z, gammas, c_values, kind, time_threshold):
         return weights
 
     def tiled(start, stop):
-        if not hasattr(per_thread, "buffers"):
-            per_thread.buffers = (
-                np.empty((tile, rows)),
-                np.empty((tile, kb * ka)),
-                np.empty((tile, auto.shape[1])),
-                np.empty((tile, ka)),
-            )
-        weights, tile_upper, tile_lower, tile_rhs = per_thread.buffers
+        weights = np.empty((tile, rows))
         m = stop - start
         upper = np.empty((m, kb * ka))
         lower = np.empty((m, auto.shape[1]))
@@ -1089,12 +1098,9 @@ def _profiled_grid(base, block, y, z, gammas, c_values, kind, time_threshold):
             # the grid's short last tile reaches back over scored rows
             first = max(0, hi - tile)
             w = fill(np.arange(first, hi), weights)
-            np.matmul(w, cross, out=tile_upper)
-            np.matmul(w, block_y, out=tile_rhs)
-            np.matmul(np.multiply(w, w, out=w), auto, out=tile_lower)
-            upper[lo - start : hi - start] = tile_upper[lo - first :]
-            lower[lo - start : hi - start] = tile_lower[lo - first :]
-            rhs_tail[lo - start : hi - start] = tile_rhs[lo - first :]
+            upper[lo - start : hi - start] = (w @ cross)[lo - first :]
+            rhs_tail[lo - start : hi - start] = (w @ block_y)[lo - first :]
+            lower[lo - start : hi - start] = (np.multiply(w, w, out=w) @ auto)[lo - first :]
         gram = np.empty((m, k, k))
         gram[:, :kb, :kb] = btb
         upper = upper.reshape(m, kb, ka)
@@ -1107,7 +1113,7 @@ def _profiled_grid(base, block, y, z, gammas, c_values, kind, time_threshold):
         rhs[:, kb:] = rhs_tail
         return _screened_rss(gram, rhs, yy)
 
-    # each thread holds a (tile, rows) buffer of the branch's tile bytes (4 MiB
+    # each chunk holds a (tile, rows) buffer of the branch's tile bytes (4 MiB
     # for time, 1 MiB for lagged values): two threads at most keep the grid
     # within two of them, and its peak memory the same on any machine
     workers = min(_WORKERS, 2)

@@ -19,7 +19,7 @@ from regimevol import PipelineConfig, run_pipeline
 from regimevol.cli import _given, _parse_model_spec, build_parser, main
 from regimevol.errors import PipelineError, RegimevolError
 from regimevol.pipeline import MODEL_KINDS, ModelRequest, field_types
-from regimevol.regimes import LAGGED_VALUE, ThresholdVariable
+from regimevol.regimes import LAGGED_VALUE, ThresholdVariable, TransitionSpec
 from tests.conftest import make_regime_model
 
 
@@ -375,6 +375,61 @@ class TestCliCommands:
                 "simulate", "delay 1 exceeds order 0", id="simulate-delay-above-order",
             ),
             pytest.param(
+                ["simulate", "{tmp}/list-model.json", "--length", "5"],
+                "simulate", "list-model.json: expected a JSON object, got list",
+                id="simulate-model-not-an-object",
+            ),
+            pytest.param(
+                ["simulate", "{tmp}/nnet-no-hidden-model.json", "--length", "5"],
+                "simulate", "nnet-no-hidden-model.json: missing key 'n_hidden'",
+                id="simulate-nnet-missing-key",
+            ),
+            pytest.param(
+                ["simulate", "{tmp}/nnet-short-output-weights-model.json", "--length", "5"],
+                "simulate", "nnet-short-output-weights-model.json: output weights",
+                id="simulate-nnet-weight-count",
+            ),
+            pytest.param(
+                ["simulate", "{tmp}/setar-no-thresholds-model.json", "--length", "5"],
+                "simulate", "setar-no-thresholds-model.json: missing key 'thresholds'",
+                id="simulate-setar-missing-key",
+            ),
+            pytest.param(
+                ["simulate", "{tmp}/regimes-not-a-list-model.json", "--length", "5"],
+                "simulate", "regimes-not-a-list-model.json: 'int' object is not iterable",
+                id="simulate-regimes-not-a-list",
+            ),
+            pytest.param(
+                ["simulate", "{tmp}/unknown-kind-model.json", "--length", "5"],
+                "simulate", "kind must be one of ar, setar, lstar, estar, got 'foo'",
+                id="simulate-unknown-kind",
+            ),
+            pytest.param(
+                ["simulate", "{tmp}/setar-two-thresholds-model.json", "--length", "5"],
+                "simulate", "thresholds: 1 expected for setar with 2 regimes, got 2",
+                id="simulate-setar-threshold-count",
+            ),
+            pytest.param(
+                ["simulate", "{tmp}/ar2-two-coefficients-model.json", "--length", "5"],
+                "simulate", "regimes[0] has 2 coefficients, order 2 needs 3",
+                id="simulate-coefficient-count",
+            ),
+            pytest.param(
+                ["simulate", "{tmp}/ar-threshold-model.json", "--length", "5"],
+                "simulate", "thresholds: 0 expected for ar with 1 regimes, got 1",
+                id="simulate-ar-with-threshold",
+            ),
+            pytest.param(
+                ["simulate", "{tmp}/setar-one-regime-model.json", "--length", "5"],
+                "simulate", "regimes: at least 2 expected for setar, got 1",
+                id="simulate-setar-one-regime",
+            ),
+            pytest.param(
+                ["simulate", "{tmp}/lstar-no-transition-model.json", "--length", "5"],
+                "simulate", "transitions: 1 expected for lstar with 2 regimes, got 0",
+                id="simulate-lstar-transition-count",
+            ),
+            pytest.param(
                 ["fit", "nnet", "{tmp}/series.csv", "--restarts", "0",
                  "--output-dir", "{tmp}/out"],
                 "fit", "restarts", id="fit-nnet-zero-restarts",
@@ -521,12 +576,35 @@ class TestCliCommands:
         )
         (tmp_path / "int-models.json").write_text(json.dumps({**config, "models": 5}))
         (tmp_path / "no-models.json").write_text(json.dumps({**config, "models": []}))
-        (tmp_path / "ar-model.json").write_text(
-            json.dumps(make_regime_model("ar", [[0.0, 0.5]]).to_dict())
-        )
         (tmp_path / "setar0-lagged-model.json").write_text(json.dumps(make_regime_model(
             "setar", [[0.5], [-0.5]], thresholds=[0.0], tv=ThresholdVariable(LAGGED_VALUE, 1)
         ).to_dict()))
+        ar_model = make_regime_model("ar", [[0.0, 0.5]]).to_dict()
+        setar_model = make_regime_model("setar", [[0.5, 0.1], [-0.5, 0.1]], thresholds=[100.0]).to_dict()
+        lstar_model = make_regime_model(
+            "lstar", [[0.5, 0.1], [-0.5, 0.1]], thresholds=[100.0],
+            transitions=[TransitionSpec("logistic", 2.0, 100.0)],
+        ).to_dict()
+        setar_no_thresholds = dict(setar_model)
+        del setar_no_thresholds["thresholds"]
+        for name, payload in (
+            ("ar", ar_model),
+            ("list", [1, 2]),
+            ("nnet-no-hidden", {"model": "nnet", "n_inputs": 1}),
+            ("nnet-short-output-weights", {
+                "model": "nnet", "n_inputs": 1, "n_hidden": 2, "output_bias": 0.0,
+                "output_weights": [1.0], "hidden_biases": [0.0, 0.0], "hidden_weights": [[1.0, 1.0]],
+            }),
+            ("setar-no-thresholds", setar_no_thresholds),
+            ("regimes-not-a-list", {**ar_model, "regimes": 5}),
+            ("unknown-kind", {**ar_model, "kind": "foo"}),
+            ("setar-two-thresholds", {**setar_model, "thresholds": [100.0, 200.0]}),
+            ("ar2-two-coefficients", {**ar_model, "order": 2}),
+            ("ar-threshold", {**ar_model, "thresholds": [100.0]}),
+            ("setar-one-regime", {**setar_model, "regimes": [[0.5, 0.1]], "thresholds": []}),
+            ("lstar-no-transition", {**lstar_model, "transitions": []}),
+        ):
+            (tmp_path / f"{name}-model.json").write_text(json.dumps(payload))
         (tmp_path / "string-order.json").write_text(
             json.dumps({**config, "models": [{"kind": "ar", "order": "1"}]})
         )

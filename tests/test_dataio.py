@@ -106,6 +106,20 @@ class TestModelJson:
         sims = simulate(again, 50, 0.1, seed=1)
         assert len(sims) == 50
 
+    @pytest.mark.parametrize("generator", ["setar_generator", "lstar_lagged_generator"])
+    def test_file_without_proportions_simulates_the_same_path(self, generator, request, tmp_path):
+        # a hand-written file need not hold the proportions, a fit diagnostic
+        payload = model_to_dict(request.getfixturevalue(generator))
+        with_props = tmp_path / "with.json"
+        write_json(with_props, payload)
+        del payload["regime_proportions"]
+        without = tmp_path / "without.json"
+        write_json(without, payload)
+        bare = load_model_json(without)
+        assert bare.regime_proportions.size == 0
+        expected = simulate(load_model_json(with_props), 200, 0.1, seed=4)
+        assert np.array_equal(simulate(bare, 200, 0.1, seed=4), expected)
+
     def test_nnet_model_round_trip(self):
         m = NnetArModel(1, 2, 0.3, np.array([0.5, -0.2]), np.array([0.1, 0.9]), np.array([[1.0, -1.0]]))
         again = model_from_dict(model_to_dict(m))
