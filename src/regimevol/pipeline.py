@@ -161,6 +161,9 @@ class PipelineConfig:
         self.models = [
             m if isinstance(m, ModelRequest) else ModelRequest.from_dict(m) for m in self.models
         ]
+        for model in self.models:
+            if model.kind == "nnet":
+                model.train_config(self.seed)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "PipelineConfig":
@@ -170,7 +173,12 @@ class PipelineConfig:
         if ENV_OUTPUT_DIR in os.environ:
             payload["output_dir"] = os.environ[ENV_OUTPUT_DIR]
         if ENV_SEED in os.environ:
-            payload["seed"] = int(os.environ[ENV_SEED])
+            try:
+                payload["seed"] = int(os.environ[ENV_SEED])
+            except ValueError:
+                raise ValueError(
+                    f"{ENV_SEED} must be an integer, got {os.environ[ENV_SEED]!r}"
+                ) from None
         return cls(**payload)
 
 

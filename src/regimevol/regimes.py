@@ -50,7 +50,6 @@ _LAGGED_TILE_BYTES = 1 << 20
 _OUTER_EXP_LIMIT = 700.0
 _SETAR3_BLOCKS = 128
 _SETAR3_BLOCK_ROWS = 8
-_SETAR3_INCUMBENT_BLOCKS = 32
 
 
 def _worker_count(environ, cpus: int) -> int:
@@ -756,21 +755,25 @@ def _three_regime_split(sxx, sxy, syy, positions, min_count, low, high) -> tuple
     low[a] + floor + high[b], with ``_block_floors``'s floor for the first
     block boundary at or after positions[a] and the last at or before
     positions[b]; the bound never exceeds the pair's computed score.
-    Before the scan, the pairs of the ``_SETAR3_INCUMBENT_BLOCKS`` block
-    pairs with the lowest bounds are scored, and the best of them is
+    Before the scan, the pairs of the one block pair with the lowest bound
+    (the first in a-major order) are scored, and the best of them is
     improved by re-scoring every b for its a and every a for its b, by
-    turns; its score is the cutoff.  ``_first_min`` then solves only the
-    pairs whose bound is at most the cutoff, with the same arithmetic, and
-    every other pair counts as inf: its score exceeds the cutoff, which is
-    at least the winning score, so it can neither win nor tie.  A chunk
-    skips at once every run of one a's pairs in one block whose lowest
-    bound, through the least high[b] of the run, is above the cutoff.
+    turns; its score is the cutoff.  Where every block pair's bound is inf
+    there is no incumbent and the cutoff is inf, but so is every pair's
+    score: a pair lies in the block pair of its a's run and its b's run,
+    whose bound is finite where the pair's score is.  ``_first_min`` then
+    solves only the pairs whose bound is at most the cutoff, with the same
+    arithmetic, and every other pair counts as inf: its score exceeds the
+    cutoff, which is at least the winning score, so it can neither win nor
+    tie.  A chunk skips at once every run of one a's pairs in one block
+    whose lowest bound, through the least high[b] of the run, is above the
+    cutoff.
 
     The cutoff is fixed before the scan, and the scan runs on the calling
     thread, so the solved pairs do not depend on the number of workers.
     What is left per chunk is mostly short numpy calls that hold the
-    interpreter lock: at ~2,000 rows a fit took 0.14 s on two threads and
-    0.10 s on one (2-vCPU VM, BLAS on one thread).
+    interpreter lock: at ~2,000 rows a fit took 43-60 ms on two threads and
+    37 ms on one (2-vCPU VM, BLAS on one thread).
     """
     n_positions = len(positions)
     # each a pairs with b = later[a], ..., P - 1, at flat indices b - shift[a]
@@ -802,21 +805,14 @@ def _three_regime_split(sxx, sxy, syy, positions, min_count, low, high) -> tuple
     block_bound = (np.minimum.reduceat(low, group_a)[:, None] + row_floor[first[group_a]]) + high_min
     # a run's first a pairs with the most b
     block_bound[later[group_a][:, None] >= b_stop] = np.inf
-    best = None
-    for flat in np.argsort(block_bound, axis=None, kind="stable")[:_SETAR3_INCUMBENT_BLOCKS]:
-        i, j = divmod(int(flat), len(group_b))
-        if block_bound[i, j] == np.inf:
-            break
+    i, j = divmod(int(np.argmin(block_bound)), len(group_b))
+    cutoff = np.inf
+    if block_bound[i, j] < np.inf:
         a, b = np.meshgrid(
             np.arange(group_a[i], a_stop[i]), np.arange(group_b[j], b_stop[j]), indexing="ij"
         )
         valid = b >= later[a]
-        found = best_of(a[valid], b[valid])
-        if best is None or found[2] < best[2]:
-            best = found
-    cutoff = np.inf
-    if best is not None:
-        a, b, cutoff = best
+        a, b, cutoff = best_of(a[valid], b[valid])
         # a few turns, each at most 2 P solves; one or two usually settle it
         for _ in range(4):
             a_new, b_new, cutoff = best_of(*np.broadcast_arrays(a, np.arange(later[a], n_positions)))
@@ -870,9 +866,11 @@ def fit_setar(
     rows between the first block boundary at or after a and the last at or
     before b, a subset of the middle regime's rows, less a margin that
     bounds the rounding error of the two computed RSS values
-    (``_block_floors``).  A pair is solved only when its bound is at most
-    the RSS of an incumbent pair scored before the scan, so the winner, its
-    RSS and the tie rule are those of solving every pair.
+    (``_block_floors``).  Before the scan, the pairs of the one block pair
+    with the lowest bound are scored, and the best of them, improved by a
+    few turns of re-scoring its a's and its b's pairs, is the incumbent.  A
+    pair is solved only when its bound is at most the incumbent's RSS, so
+    the winner, its RSS and the tie rule are those of solving every pair.
     """
     check_regime_count(n_regimes)
     tv = threshold_variable or ThresholdVariable(TIME)
@@ -1002,7 +1000,8 @@ def _profiled_grid(base, block, y, z, gammas, c_values, kind, time_threshold):
     ``_LAGGED_TILE_BYTES`` for a lagged value, so memory grows linearly in
     rows.  The buffer holds a tile's weights w for the w @ cross and
     w @ block*y products, and is then squared in place for the (w*w) @ auto
-    product; the chunk's next tile refills it.
+    product; the chunk's next tile refills it, and the chunk frees it before
+    it assembles and solves its Grams.
 
     A lagged-value threshold evaluates each candidate's transition on z.  A
     logistic one takes its weights from one outer product per run of one
@@ -1101,6 +1100,7 @@ def _profiled_grid(base, block, y, z, gammas, c_values, kind, time_threshold):
             upper[lo - start : hi - start] = (w @ cross)[lo - first :]
             rhs_tail[lo - start : hi - start] = (w @ block_y)[lo - first :]
             lower[lo - start : hi - start] = (np.multiply(w, w, out=w) @ auto)[lo - first :]
+        del weights, w
         gram = np.empty((m, k, k))
         gram[:, :kb, :kb] = btb
         upper = upper.reshape(m, kb, ka)

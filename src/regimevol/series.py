@@ -155,13 +155,11 @@ def check_order(order: int) -> None:
         raise ValueError(f"order must be non-negative, got {order}")
 
 
-def lag_design(series, order: int, extra_columns=None) -> tuple[np.ndarray, np.ndarray]:
+def lag_design(series, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Build an autoregressive design matrix and the matching response vector.
 
-    Row t holds ``(1, X_{t-1}, ..., X_{t-order}, extras)`` and the response is
-    ``X_t``; there are ``len(series) - order`` rows.  ``extra_columns`` may be
-    sized to the full series (trimmed to the response rows) or to the rows
-    directly.
+    Row t holds ``(1, X_{t-1}, ..., X_{t-order})`` and the response is
+    ``X_t``; there are ``len(series) - order`` rows.
     """
     x = series_values(series)
     n = len(x)
@@ -172,16 +170,4 @@ def lag_design(series, order: int, extra_columns=None) -> tuple[np.ndarray, np.n
     cols = [np.ones(rows)]
     for k in range(1, order + 1):
         cols.append(x[order - k : n - k])
-    design = np.column_stack(cols)
-    if extra_columns is not None:
-        extras = np.asarray(extra_columns, dtype=float)
-        if extras.ndim == 1:
-            extras = extras[:, None]
-        if extras.shape[0] == n:
-            extras = extras[order:]
-        elif extras.shape[0] != rows:
-            raise ValueError(
-                f"extra columns have {extras.shape[0]} rows; expected {n} or {rows}"
-            )
-        design = np.hstack([design, extras])
-    return design, x[order:]
+    return np.column_stack(cols), x[order:]

@@ -545,6 +545,20 @@ class TestCliCommands:
                 ["run", "--config", "{tmp}/negative-order.json"],
                 "config", "order must be non-negative, got -1", id="config-second-model-negative-order",
             ),
+            # a negative seed fails before the first stage, not at the network
+            pytest.param(
+                ["run", "--input", "{tmp}/prices.csv", "--break-index", "150",
+                 "--seed", "-3", "--output-dir", "{tmp}/run-out"],
+                "config", "seed must be a non-negative integer, got -3", id="run-negative-seed",
+            ),
+            pytest.param(
+                ["run", "--config", "{tmp}/negative-seed.json"],
+                "config", "seed must be a non-negative integer, got -3", id="config-negative-seed",
+            ),
+            pytest.param(
+                ["fit", "nnet", "{tmp}/series.csv", "--seed", "-1", "--output-dir", "{tmp}/out"],
+                "fit", "seed must be a non-negative integer, got -1", id="fit-nnet-negative-seed",
+            ),
             # a 1e-13 step asks for about 2e15 gammas; the allocation fails
             # at once, before any memory is used
             pytest.param(
@@ -576,6 +590,7 @@ class TestCliCommands:
         )
         (tmp_path / "int-models.json").write_text(json.dumps({**config, "models": 5}))
         (tmp_path / "no-models.json").write_text(json.dumps({**config, "models": []}))
+        (tmp_path / "negative-seed.json").write_text(json.dumps({**config, "seed": -3}))
         (tmp_path / "setar0-lagged-model.json").write_text(json.dumps(make_regime_model(
             "setar", [[0.5], [-0.5]], thresholds=[0.0], tv=ThresholdVariable(LAGGED_VALUE, 1)
         ).to_dict()))
@@ -651,6 +666,22 @@ class TestCliCommands:
         assert "Traceback" not in err
         if stage == "config":
             assert not (tmp_path / "run-out").exists()
+
+    @pytest.mark.parametrize(
+        "seed, fragment",
+        [("-3", "seed must be a non-negative integer, got -3"),
+         ("abc", "REGIMEVOL_SEED must be an integer, got 'abc'")],
+    )
+    def test_bad_seed_in_the_environment_is_one_config_error_line(
+        self, seed, fragment, price_csv, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("REGIMEVOL_SEED", seed)
+        out = tmp_path / "run-out"
+        code = main(["run", "--input", price_csv, "--break-index", "150", "--output-dir", str(out)])
+        err_lines = [l for l in capsys.readouterr().err.splitlines() if l.strip()]
+        assert code == 1
+        assert err_lines == [f"ERROR stage=config: {fragment}"]
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv, stage, fragment",

@@ -153,11 +153,6 @@ class TestLagDesign:
         with pytest.raises(OrderTooLarge):
             lag_design([1.0, 2.0, 3.0, 4.0], 4)
 
-    def test_extra_columns_full_length_trimmed(self):
-        extras = np.arange(1.0, 5.0)
-        design, _ = lag_design([1.0, 2.0, 3.0, 4.0], 1, extra_columns=extras)
-        assert design[:, -1].tolist() == [2.0, 3.0, 4.0]
-
     def test_order_zero_intercept_only(self):
         design, response = lag_design([5.0, 6.0, 7.0], 0)
         assert design.shape == (3, 1)
