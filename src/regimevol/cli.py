@@ -82,10 +82,12 @@ def _given(args, cls) -> dict:
 def _cmd_fit(args) -> int:
     request = ModelRequest(**_given(args, ModelRequest))
     values = dataio.read_series_csv(args.input)
+    model = pipeline.fit(request, values, args.seed)
+    # made once the fit is done, so a failed fit leaves no directory behind
     dataio.make_output_dir(args.output_dir)
     model_path = os.path.join(args.output_dir, "model.json")
     fitted_path = os.path.join(args.output_dir, "fitted.csv")
-    pipeline.fit(request, values, args.seed, model_path, fitted_path)
+    pipeline.write_fit(model, values, model_path, fitted_path)
     print(f"wrote {model_path} and {fitted_path}")
     return 0
 

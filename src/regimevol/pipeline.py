@@ -269,7 +269,8 @@ def linearity(series, significance: float, path=None, ar_order=None, ar_max_orde
     return payload
 
 
-def _fit_model(request: ModelRequest, series, seed: int):
+def fit(request: ModelRequest, series, seed: int):
+    """Fit one requested model."""
     tv = request.threshold_variable()
     if request.kind == "ar":
         return fit_ar(series, request.order)
@@ -294,14 +295,10 @@ def _fit_model(request: ModelRequest, series, seed: int):
     return train_nnet_ar(series, request.order, request.hidden, request.train_config(seed)).model
 
 
-def fit(request: ModelRequest, series, seed: int, model_path=None, fitted_path=None):
-    """Fit one requested model; write its JSON and its fitted CSV where a path is given."""
-    model = _fit_model(request, series, seed)
-    if model_path:
-        dataio.write_json(model_path, dataio.model_to_dict(model))
-    if fitted_path:
-        dataio.emit_plot_data(model, fitted_path, series=series)
-    return model
+def write_fit(model, series, model_path: str, fitted_path: str) -> None:
+    """Write a fitted model's JSON and its fitted values' CSV."""
+    dataio.write_json(model_path, dataio.model_to_dict(model))
+    dataio.emit_plot_data(model, fitted_path, series=series)
 
 
 def compare(models, series, json_path: str, text_path: str):
@@ -363,14 +360,12 @@ def run_pipeline(config: PipelineConfig) -> dict[str, str]:
     for position, request in enumerate(config.models, start=1):
         slug = _request_slug(request, position)
         with _stage(f"fit:{slug}"):
-            models.append(
-                fit(
-                    request,
-                    volatility,
-                    config.seed,
-                    path(f"model_{slug}", f"model_{slug}.json"),
-                    path(f"fitted_{slug}", f"fitted_{slug}.csv"),
-                )
+            models.append(fit(request, volatility, config.seed))
+            write_fit(
+                models[-1],
+                volatility,
+                path(f"model_{slug}", f"model_{slug}.json"),
+                path(f"fitted_{slug}", f"fitted_{slug}.csv"),
             )
     with _stage("compare"):
         compare(

@@ -45,7 +45,7 @@ _EXPLOSION_LIMIT = 1e8
 _EIG_RATIO = 1e-12
 _CERTIFY_RATIO = 100 * _EIG_RATIO
 _GRID_CHUNK = 8192
-_TILE_BYTES = 1 << 22
+_TIME_TILES_BYTES = 1 << 22
 _LAGGED_TILE_BYTES = 1 << 20
 _OUTER_EXP_LIMIT = 700.0
 _SETAR3_BLOCKS = 128
@@ -987,6 +987,16 @@ def _split_logistic(z, c_values):
     return weights
 
 
+def _tile_rows(rows: int, time_threshold: bool, workers: int) -> int:
+    """Candidates per (tile, rows) weights buffer of a grid on ``workers`` threads.
+
+    A time threshold's threads share ``_TIME_TILES_BYTES`` of buffers; a
+    lagged value's each hold ``_LAGGED_TILE_BYTES``.
+    """
+    tile_bytes = _TIME_TILES_BYTES // workers if time_threshold else _LAGGED_TILE_BYTES
+    return -(-tile_bytes // (8 * rows))
+
+
 def _profiled_grid(base, block, y, z, gammas, c_values, kind, time_threshold):
     """Best (gamma, c) over the grid, profiling out the linear coefficients.
 
@@ -995,13 +1005,13 @@ def _profiled_grid(base, block, y, z, gammas, c_values, kind, time_threshold):
     the winner; candidates whose design is rank deficient are skipped.
     Candidates are scanned gamma-major, c-minor, and ties keep the first.
 
-    Candidates are scored ``tile`` at a time, in place in a (tile, rows)
-    buffer of at least ``_TILE_BYTES`` for a time threshold and
-    ``_LAGGED_TILE_BYTES`` for a lagged value, so memory grows linearly in
-    rows.  The buffer holds a tile's weights w for the w @ cross and
-    w @ block*y products, and is then squared in place for the (w*w) @ auto
-    product; the chunk's next tile refills it, and the chunk frees it before
-    it assembles and solves its Grams.
+    Candidates are scored ``tile`` at a time (``_tile_rows``), in place in a
+    (tile, rows) buffer of weights w, so memory grows linearly in rows.  A
+    lagged value takes three products, w @ cross, w @ block*y and, once w is
+    squared in place, (w*w) @ auto.  A time threshold takes one product per
+    power of w: w @ [cross | block*y], and (w*w) @ auto with auto zero-padded
+    to the same width.  The chunk's next tile refills the buffer, and the
+    chunk frees it before it assembles and solves its Grams.
 
     A lagged-value threshold evaluates each candidate's transition on z.  A
     logistic one takes its weights from one outer product per run of one
@@ -1011,31 +1021,39 @@ def _profiled_grid(base, block, y, z, gammas, c_values, kind, time_threshold):
     2 gamma z c term does not split into a row factor times a c factor.
 
     A time threshold requires z to be consecutive integers and every c one
-    of them: G at row i then depends on z[i] - c alone, so each tile
+    of them: G at row i then depends on z[i] - c alone, so each chunk
     evaluates the transition of its gammas once on the lags
-    -(rows-1)..rows-1 and copies each candidate's window of it.  The lags
-    are the same floats as z - c, so the weights are bit-identical to
-    evaluating each candidate.
+    -(rows-1)..rows-1, and its tiles copy each candidate's window of it.
+    The lags are the same floats as z - c, so the weights are bit-identical
+    to evaluating each candidate.
 
     ``_first_min`` scores chunks of whole tiles on up to two worker threads.
     Each chunk makes its own weights buffer, and a chunk is sized so that
     the workers together hold about ``_GRID_CHUNK`` candidates at a time.
 
-    Every product (w @ cross, w @ block*y, w*w @ auto) has ``tile`` rows:
-    chunks hold whole tiles, and the grid's short last tile reaches back
-    over candidates already scored.  So the tiles are the same whatever the
-    chunk size and the number of workers, and so is the RSS, to the bit.  A
-    time threshold's 4 MiB tiles keep each product above the 1e6
-    multiply-adds under which OpenBLAS switches to a small-matrix kernel,
-    and the blocked kernel gives a row the same bits whatever the row
-    count; that keeps the time grid's bits, which matter there, since its
-    steep logistic gammas tie to roundoff.  A lagged value's 1 MiB tiles,
-    half of a 2 MiB L2 cache, are faster, and most of their products run in
-    the small-matrix kernel, whose bits depend on a row's position in the
-    tile but not on the buffer's alignment.  So the tile size is a
-    constant, never read from the host: another size would move the last
-    bits, and with them a winner where candidates tie to roundoff,
-    as on a random walk's plateau of steep gammas.
+    Every product has ``tile`` rows: chunks hold whole tiles, and the grid's
+    short last tile reaches back over candidates already scored.  So the
+    tiles are the same whatever the chunk size, and so is the RSS, to the
+    bit.  A time threshold's workers share ``_TIME_TILES_BYTES``, 4 MiB: one
+    worker takes a 4 MiB tile and two take 2 MiB each, so the grid's buffers
+    take the same 4 MiB on any host.  A full tile's products then take more
+    than the 1e6 multiply-adds under which OpenBLAS switches to a
+    small-matrix kernel: 2 MiB of weights make 2**18 of them per column, and
+    the narrowest product has 6 columns.  In the blocked kernel an entry's
+    bits do not depend on the tile's rows, the candidate's place in the tile
+    or the product's width (``TestPaddedTileProducts`` pins this on the
+    installed OpenBLAS).  So the padded products give each entry the bits of
+    separate products, on one worker's tiles or two's, and the time grid
+    keeps its bits, which matter there, since its steep logistic gammas tie
+    to roundoff.  A grid of fewer candidates than a tile is one product of
+    its own rows on any number of workers, in the small-matrix kernel when
+    under the limit.  A lagged value's 1 MiB tiles, half of a 2 MiB L2
+    cache, are faster, and most of their products run in the small-matrix
+    kernel, whose bits depend on a row's position in the tile but not on the
+    buffer's alignment.  So that tile size is a constant, never read from
+    the host: another size would move the last bits, and with them a winner
+    where candidates tie to roundoff, as on a random walk's plateau of steep
+    gammas.
     """
     rows, kb = base.shape
     ka = block.shape[1]
@@ -1050,43 +1068,57 @@ def _profiled_grid(base, block, y, z, gammas, c_values, kind, time_threshold):
 
     n_c = len(c_values)
     n_candidates = len(gammas) * n_c
-    tile_bytes = _TILE_BYTES if time_threshold else _LAGGED_TILE_BYTES
-    tile = min(n_candidates, -(-tile_bytes // (8 * rows)))
     if time_threshold:
+        # one product per power of w: w @ [cross | block*y], and (w*w) @ auto
+        # zero-padded to the same width
+        lin = np.hstack([cross, block_y])
+        auto_wide = np.zeros_like(lin)
+        auto_wide[:, : auto.shape[1]] = auto
         lags = np.arange(-(rows - 1), rows, dtype=float)
         # window start in ``lags`` for each c: lags[start + i] == z[i] - c
         window_start = (z[0] - c_values).astype(np.intp) + (rows - 1)
     elif kind == LOGISTIC:
         split = _split_logistic(z, c_values)
+    workers = min(_WORKERS, 2)
+    tile = min(n_candidates, _tile_rows(rows, time_threshold, workers))
 
-    def fill(picks, weights):
+    def lagged_fill(picks, weights):
         pick_g, pick_c = picks // n_c, picks % n_c
-        if not time_threshold:
-            if kind != LOGISTIC:
-                return _transition_weights(
-                    kind, z, gammas[pick_g, None], c_values[pick_c, None], weights
-                )
-            # candidates are gamma-major, so a tile is a few runs of one gamma
-            cuts = [0, *(np.flatnonzero(np.diff(pick_g)) + 1), len(picks)]
-            for lo, hi in zip(cuts, cuts[1:]):
-                split(gammas[pick_g[lo]], c_values[pick_c[lo:hi]], weights[lo:hi])
-            return weights
-        g_first = pick_g[0]
-        g_span = gammas[g_first : pick_g[-1] + 1, None]
+        if kind != LOGISTIC:
+            return _transition_weights(
+                kind, z, gammas[pick_g, None], c_values[pick_c, None], weights
+            )
+        # candidates are gamma-major, so a tile is a few runs of one gamma
+        cuts = [0, *(np.flatnonzero(np.diff(pick_g)) + 1), len(picks)]
+        for lo, hi in zip(cuts, cuts[1:]):
+            split(gammas[pick_g[lo]], c_values[pick_c[lo:hi]], weights[lo:hi])
+        return weights
+
+    def time_fill(start, stop):
+        """``fill(picks, weights)`` for the tiles of chunk start..stop-1,
+        copying from one transition table of the gammas they reach."""
+        # the grid's short last tile reaches back before the chunk's start
+        g_first = max(0, min(start, stop - tile)) // n_c
+        g_span = gammas[g_first : (stop - 1) // n_c + 1, None]
         table = _transition_weights(kind, lags[None, :], g_span, 0.0)
         # windows[g, s] is table[g, s : s + rows], so a run of candidates
         # whose window starts step down by 1 is one reversed slab of it.  c
         # increases, so starts decrease within a gamma and go up where the
         # next gamma begins: every run has one gamma
         windows = np.lib.stride_tricks.sliding_window_view(table, rows, axis=1)
-        starts = window_start[pick_c]
-        cuts = [0, *(np.flatnonzero(np.diff(starts) != -1) + 1), len(picks)]
-        for lo, hi in zip(cuts, cuts[1:]):
-            slab = windows[pick_g[lo] - g_first, starts[hi - 1] : starts[lo] + 1]
-            np.copyto(weights[lo:hi], slab[::-1])
-        return weights
+
+        def fill(picks, weights):
+            pick_g, starts = picks // n_c - g_first, window_start[picks % n_c]
+            cuts = [0, *(np.flatnonzero(np.diff(starts) != -1) + 1), len(picks)]
+            for lo, hi in zip(cuts, cuts[1:]):
+                slab = windows[pick_g[lo], starts[hi - 1] : starts[lo] + 1]
+                np.copyto(weights[lo:hi], slab[::-1])
+            return weights
+
+        return fill
 
     def tiled(start, stop):
+        fill = time_fill(start, stop) if time_threshold else lagged_fill
         weights = np.empty((tile, rows))
         m = stop - start
         upper = np.empty((m, kb * ka))
@@ -1097,10 +1129,16 @@ def _profiled_grid(base, block, y, z, gammas, c_values, kind, time_threshold):
             # the grid's short last tile reaches back over scored rows
             first = max(0, hi - tile)
             w = fill(np.arange(first, hi), weights)
-            upper[lo - start : hi - start] = (w @ cross)[lo - first :]
-            rhs_tail[lo - start : hi - start] = (w @ block_y)[lo - first :]
-            lower[lo - start : hi - start] = (np.multiply(w, w, out=w) @ auto)[lo - first :]
-        del weights, w
+            done, new = slice(lo - start, hi - start), slice(lo - first, None)
+            if time_threshold:
+                both = (w @ lin)[new]
+                upper[done], rhs_tail[done] = both[:, : kb * ka], both[:, kb * ka :]
+                lower[done] = (np.multiply(w, w, out=w) @ auto_wide)[new, : auto.shape[1]]
+            else:
+                upper[done] = (w @ cross)[new]
+                rhs_tail[done] = (w @ block_y)[new]
+                lower[done] = (np.multiply(w, w, out=w) @ auto)[new]
+        del weights, w, fill
         gram = np.empty((m, k, k))
         gram[:, :kb, :kb] = btb
         upper = upper.reshape(m, kb, ka)
@@ -1113,10 +1151,8 @@ def _profiled_grid(base, block, y, z, gammas, c_values, kind, time_threshold):
         rhs[:, kb:] = rhs_tail
         return _screened_rss(gram, rhs, yy)
 
-    # each chunk holds a (tile, rows) buffer of the branch's tile bytes (4 MiB
-    # for time, 1 MiB for lagged values): two threads at most keep the grid
-    # within two of them, and its peak memory the same on any machine
-    workers = min(_WORKERS, 2)
+    # each chunk holds a (tile, rows) buffer: two threads at most keep a time
+    # grid's buffers within 4 MiB and a lagged grid's within 2 MiB, on any host
     chunk = tile * max(1, _GRID_CHUNK // (workers * tile))
     best, rss = _first_min(n_candidates, tiled, chunk, workers)
     return float(gammas[best // n_c]), float(c_values[best % n_c]), rss

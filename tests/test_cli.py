@@ -666,6 +666,9 @@ class TestCliCommands:
         assert "Traceback" not in err
         if stage == "config":
             assert not (tmp_path / "run-out").exists()
+        if stage == "fit":
+            # the directory is made once the fit is done
+            assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "seed, fragment",

@@ -339,10 +339,14 @@ def _weights(kind, z, gamma, c):
     return TransitionSpec(kind, gamma, c).weights(z)
 
 
-def _chunked_grid(base, block, y, z, gammas, c_values, kind):
+def _chunked_grid(base, block, y, z, gammas, c_values, kind, time_threshold=False):
     """The (gamma, c) grid scored the direct way: each candidate's weights
     evaluated on z, gathered ``_GRID_CHUNK`` candidates at a time, one
-    (chunk, rows) product per Gram block, and ``regimes._screened_rss``."""
+    (chunk, rows) product per Gram block, and ``regimes._screened_rss``.
+
+    With ``time_threshold`` the products take the grid's layout for a time
+    threshold, w @ [cross | block*y] and (w*w) @ auto zero-padded to the same
+    width: under the small-matrix kernel's limit, the padding moves bits."""
     rows, kb = base.shape
     ka = block.shape[1]
     k = kb + ka
@@ -352,26 +356,34 @@ def _chunked_grid(base, block, y, z, gammas, c_values, kind):
     auto = (block[:, :, None] * block[:, None, :])[:, tri[0], tri[1]]
     block_y = block * y[:, None]
     n_c = len(c_values)
+    lin = np.hstack([cross, block_y])
+    auto_wide = np.zeros_like(lin)
+    auto_wide[:, : auto.shape[1]] = auto
+
+    def products(weights, squares):
+        if not time_threshold:
+            return weights @ cross, weights @ block_y, squares @ auto
+        both = weights @ lin
+        return both[:, : kb * ka], both[:, kb * ka :], (squares @ auto_wide)[:, : auto.shape[1]]
 
     def score(start, stop):
         candidates = np.arange(start, stop)
         g_par, c_par = gammas[candidates // n_c, None], c_values[candidates % n_c, None]
         weights = regimes._transition_weights(kind, z[None, :], g_par, c_par)
-        squares = weights * weights
+        upper, rhs_tail, lower_entries = products(weights, weights * weights)
         m = len(candidates)
         gram = np.empty((m, k, k))
         gram[:, :kb, :kb] = btb
-        upper = (weights @ cross).reshape(m, kb, ka)
+        upper = upper.reshape(m, kb, ka)
         gram[:, :kb, kb:] = upper
         gram[:, kb:, :kb] = upper.transpose(0, 2, 1)
-        lower_entries = squares @ auto
         lower = np.zeros((m, ka, ka))
         lower[:, tri[0], tri[1]] = lower_entries
         lower[:, tri[1], tri[0]] = lower_entries
         gram[:, kb:, kb:] = lower
         rhs = np.empty((m, k))
         rhs[:, :kb] = bty
-        rhs[:, kb:] = weights @ block_y
+        rhs[:, kb:] = rhs_tail
         return regimes._screened_rss(gram, rhs, yy)
 
     best, rss = regimes._first_min(len(gammas) * n_c, score)
@@ -697,7 +709,7 @@ class TestTimeThresholdGrid:
 
         def recording(*args):
             assert args[-1] is True  # fit_lstar takes the shifted path on time
-            out = computed(*args) if shifted else _chunked_grid(*args[:-1])
+            out = computed(*args) if shifted else _chunked_grid(*args)
             results.append((out, len(args[4]) * len(args[5])))
             return out
 
@@ -725,10 +737,13 @@ class TestTimeThresholdGrid:
             assert shifted[0][1] > regimes._GRID_CHUNK
 
     @pytest.mark.parametrize("kind", ["logistic", "exponential"])
-    def test_slabs_across_a_c_gap_and_a_gamma_boundary(self, lstar_time_generator, kind):
+    def test_slabs_across_a_c_gap_and_a_gamma_boundary(
+        self, monkeypatch, lstar_time_generator, kind
+    ):
         # a second transition's c grid skips the band around the first c, so
         # window starts jump there, and the grid's short last tile reaches
         # back into an earlier gamma: both cut a tile's copy into slabs
+        monkeypatch.setattr(regimes, "_WORKERS", 1)
         x = simulate(lstar_time_generator, 300, 0.05, seed=8)
         design, y, z, c_values = _grid_inputs(x, ThresholdVariable(TIME))
         at = len(c_values) // 3
@@ -738,11 +753,34 @@ class TestTimeThresholdGrid:
         gammas = GammaGrid(points=40).values()
         assert np.any(np.diff(c_values) > 1)
         n_c, n_candidates = len(c_values), len(gammas) * len(c_values)
-        tile = -(-regimes._TILE_BYTES // (8 * len(y)))
+        tile = regimes._tile_rows(len(y), True, 1)
         assert n_candidates % tile and (n_candidates - tile) // n_c < (n_candidates - 1) // n_c
 
         got = regimes._profiled_grid(base, design, y, z, gammas, c_values, kind, True)
-        assert got == _chunked_grid(base, design, y, z, gammas, c_values, kind)
+        assert got == _chunked_grid(base, design, y, z, gammas, c_values, kind, True)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_chunk_evaluates_its_transition_table_once(
+        self, monkeypatch, lstar_time_generator, workers
+    ):
+        x = simulate(lstar_time_generator, 300, 0.05, seed=3)
+        design, y, z, c_values = _grid_inputs(x, ThresholdVariable(TIME))
+        gammas = GammaGrid(points=40).values()
+        monkeypatch.setattr(regimes, "_WORKERS", workers)
+        expected = regimes._profiled_grid(design, design, y, z, gammas, c_values, "logistic", True)
+        calls = []
+        computed = regimes._transition_weights
+
+        def counting(*args, **kwargs):
+            calls.append(args[2].shape)
+            return computed(*args, **kwargs)
+
+        monkeypatch.setattr(regimes, "_transition_weights", counting)
+        got = regimes._profiled_grid(design, design, y, z, gammas, c_values, "logistic", True)
+        assert got == expected
+        tile = regimes._tile_rows(len(y), True, workers)
+        chunk = tile * max(1, regimes._GRID_CHUNK // (workers * tile))
+        assert len(calls) == -(-len(gammas) * len(c_values) // chunk) > 1
 
 
 class TestTiledGrid:
@@ -772,9 +810,11 @@ class TestTiledGrid:
     ):
         # 50-candidate tiles fall under BLAS's small-matrix kernel, whose
         # bits depend on where a tile starts; no grid here ends on a tile
-        # boundary, so each last tile reaches back
+        # boundary, so each last tile reaches back.  A time grid's threads
+        # share its tile bytes
         x = simulate(lstar_lagged_generator, 300, 0.1, seed=21)
-        monkeypatch.setattr(regimes, "_TILE_BYTES", 8 * 299 * 50)
+        workers = min(regimes._WORKERS, 2)
+        monkeypatch.setattr(regimes, "_TIME_TILES_BYTES", 8 * 299 * 50 * workers)
         monkeypatch.setattr(regimes, "_LAGGED_TILE_BYTES", 8 * 299 * 50)
         default = self.grid_calls(monkeypatch, x, tv_kind, kind)
         assert len(default) == 2
@@ -817,14 +857,16 @@ class TestTiledGrid:
         if second:
             first = _weights(kind, z, 2.0, c_values[len(c_values) // 3])
             base = np.hstack([design, first[:, None] * design])
+        workers = min(regimes._WORKERS, 2)
         if tile_bytes is not None:
-            monkeypatch.setattr(regimes, "_TILE_BYTES", tile_bytes)
+            # a time grid's threads share its tile bytes
+            monkeypatch.setattr(regimes, "_TIME_TILES_BYTES", tile_bytes * workers)
             monkeypatch.setattr(regimes, "_LAGGED_TILE_BYTES", tile_bytes)
         # the grid does not end on a tile boundary, so its last tile reaches back
-        branch_bytes = regimes._TILE_BYTES if tv_kind == TIME else regimes._LAGGED_TILE_BYTES
-        assert len(gammas) * len(c_values) % -(-branch_bytes // (8 * len(y)))
+        tile = regimes._tile_rows(len(y), tv_kind == TIME, workers)
+        assert len(gammas) * len(c_values) % tile
 
-        expected = _chunked_grid(base, design, y, z, gammas, c_values, kind)
+        expected = _chunked_grid(base, design, y, z, gammas, c_values, kind, tv_kind == TIME)
         got = regimes._profiled_grid(base, design, y, z, gammas, c_values, kind, tv_kind == TIME)
         # the bound of TestProfiledGridOracle: normal equations carry an RSS
         # error of about eps * cond^2 * y'y
@@ -838,38 +880,50 @@ class TestTiledGrid:
             # item 1), so only there may the first-wins pick move, and only
             # to a candidate the reference scores as a tie
             assert tv_kind == TIME and tile_bytes is not None
-            tie = _chunked_grid(base, design, y, z, np.array(got[:1]), np.array(got[1:2]), kind)
+            tie = _chunked_grid(
+                base, design, y, z, np.array(got[:1]), np.array(got[1:2]), kind, True
+            )
             assert tie[2] == pytest.approx(expected[2], rel=tolerance, abs=0)
 
-    def test_time_threshold_memory_is_bounded_by_tiles(self):
+    @staticmethod
+    def time_grid_peak(points):
         x = 1.0 + 0.01 * np.cumsum(np.random.default_rng(0).normal(size=2001))
         tracemalloc.start()
         try:
-            fit_lstar(x, 1, 1, ThresholdVariable(TIME), gamma_grid=GammaGrid(points=5), refine=False)
-            peak = tracemalloc.get_traced_memory()[1]
+            fit_lstar(
+                x, 1, 1, ThresholdVariable(TIME), gamma_grid=GammaGrid(points=points), refine=False
+            )
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # two (tile, rows) buffers, one chunk of at most _GRID_CHUNK 4x4
-        # normal equations with their solve (a few MB, about one tile) and
-        # inputs of a few columns of 2,000 rows: under four tiles
-        assert peak < 4 * regimes._TILE_BYTES
+
+    def test_time_threshold_memory_is_bounded_by_tiles(self):
+        # the grid's (tile, rows) buffers, 4 MiB together on one or two
+        # threads, one chunk of at most _GRID_CHUNK 4x4 normal equations per
+        # thread with their solve, and inputs of a few columns of 2,000 rows:
+        # under one and a half tiles, as the next two tests derive
+        assert self.time_grid_peak(5) < 1.5 * regimes._TIME_TILES_BYTES
+
+    def test_two_grid_threads_share_the_tile_bytes(self, monkeypatch):
+        # two grid threads, each with a 132-row tile (2.11 MB) and chunks of
+        # 4,092 candidates: a thread holds either its buffer with its chunk's
+        # product rows (104 bytes a candidate, 0.43 MB) or, once the buffer
+        # is freed, its chunk's Grams with their screen and solve (480 bytes
+        # a candidate, 1.96 MB), never both.  Two threads and the inputs
+        # (about 0.6 MB) make under 5.7 MB, within one and a half 4 MiB
+        # tiles.  A 4 MiB tile per thread took 9.5 MB here
+        monkeypatch.setattr(regimes, "_WORKERS", 2)
+        assert self.time_grid_peak(40) < 1.5 * regimes._TIME_TILES_BYTES
 
     def test_tile_buffer_is_released_before_the_solve(self, monkeypatch):
         monkeypatch.setattr(regimes, "_WORKERS", 1)
-        x = 1.0 + 0.01 * np.cumsum(np.random.default_rng(0).normal(size=2001))
-        tracemalloc.start()
-        try:
-            fit_lstar(x, 1, 1, ThresholdVariable(TIME), gamma_grid=GammaGrid(points=40), refine=False)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # one thread holds either its (tile, rows) buffer with the chunk's
-        # product rows (about 0.6 MB) or, once the buffer is freed, one
-        # chunk of at most _GRID_CHUNK 4x4 normal equations with their screen
-        # and solve (about 4 MB, under one tile), never both; with inputs of
-        # a few columns of 2,000 rows, under one and a half tiles.  A buffer
-        # held through the solve adds a tile
-        assert peak < 1.5 * regimes._TILE_BYTES
+        # one thread holds either its 4 MiB (tile, rows) buffer with the
+        # chunk's product rows (about 0.85 MB) or, once the buffer is freed,
+        # one chunk of at most _GRID_CHUNK 4x4 normal equations with their
+        # screen and solve (about 4 MB, under one tile), never both; with
+        # inputs of a few columns of 2,000 rows, under one and a half tiles.
+        # A buffer held through the solve adds a tile
+        assert self.time_grid_peak(40) < 1.5 * regimes._TIME_TILES_BYTES
 
     @pytest.mark.parametrize("kind", ["logistic", "exponential"])
     def test_lagged_memory_is_bounded_by_tiles(self, monkeypatch, kind):
@@ -897,6 +951,59 @@ class TestTiledGrid:
         # overlap; a table of exps over the whole gamma grid would grow it by
         # 6.4 MB (360 more gammas of 2,000 rows), more than one tile
         assert peak(400, 1) < peak(40, 1) + regimes._LAGGED_TILE_BYTES
+
+
+class TestPaddedTileProducts:
+    """A time threshold's padded tile products against separate 4 MiB ones."""
+
+    @pytest.mark.parametrize("kb", [2, 4])
+    @pytest.mark.parametrize("rows", [499, 1999])
+    def test_padded_products_keep_the_bits_of_separate_ones(self, rows, kb):
+        # the grid takes w @ [cross | block*y] and (w*w) @ [auto | 0]; in
+        # OpenBLAS's blocked kernel each entry has the bits of w @ cross,
+        # w @ block*y and (w*w) @ auto taken on 4 MiB tiles, as the grid
+        # took them before, whatever the tile's rows and a row's place in it
+        rng = np.random.default_rng(rows + kb)
+        ka = 2
+        base, block, y = rng.normal(size=(rows, kb)), rng.normal(size=(rows, ka)), rng.normal(size=rows)
+        cross = (base[:, :, None] * block[:, None, :]).reshape(rows, kb * ka)
+        tri = np.triu_indices(ka)
+        auto = (block[:, :, None] * block[:, None, :])[:, tri[0], tri[1]]
+        block_y = block * y[:, None]
+        lin = np.hstack([cross, block_y])
+        auto_wide = np.zeros_like(lin)
+        auto_wide[:, : auto.shape[1]] = auto
+        big = -(-(1 << 22) // (8 * rows))
+        w = rng.uniform(size=(2 * big, rows))
+        separate = [
+            np.vstack([part @ right for part in np.split(w ** power, [big])])
+            for power, right in ((1, cross), (1, block_y), (2, auto))
+        ]
+        # the tiles of one and of two grid threads, starting at offsets of a
+        # third of a tile in the 4 MiB ones
+        for workers in (1, 2):
+            tile = regimes._tile_rows(rows, True, workers)
+            for start in range(0, len(w) - tile + 1, tile // 3):
+                part = w[start : start + tile]
+                both = part @ lin
+                squares = (part * part) @ auto_wide
+                assert both[:, : kb * ka].tobytes() == separate[0][start : start + tile].tobytes()
+                assert both[:, kb * ka :].tobytes() == separate[1][start : start + tile].tobytes()
+                assert (
+                    squares[:, : auto.shape[1]].tobytes()
+                    == separate[2][start : start + tile].tobytes()
+                )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("rows", [59, 499, 1999])
+    def test_time_tiles_stay_in_the_blocked_kernel(self, rows, workers):
+        # the narrowest product, 6 columns for a first transition of order
+        # 1, of any full tile takes more multiply-adds than the 1e6 under
+        # which OpenBLAS switches to its small-matrix kernel; a grid's
+        # buffers take the tile bytes, plus under a row each
+        tile = regimes._tile_rows(rows, True, workers)
+        assert tile * rows * 6 > 1_000_000
+        assert workers * (tile - 1) * rows * 8 < regimes._TIME_TILES_BYTES
 
 
 class TestSplitLogistic:
@@ -1231,15 +1338,9 @@ class TestParallelScan:
         # more workers than a STAR grid may use
         monkeypatch.setattr(regimes, "_WORKERS", 8)
         started = self.pools_started(monkeypatch)
-        x = 1.0 + 0.01 * np.cumsum(np.random.default_rng(0).normal(size=2001))
-        tracemalloc.start()
-        try:
-            fit_lstar(x, 1, 1, ThresholdVariable(TIME), gamma_grid=GammaGrid(points=5), refine=False)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = TestTiledGrid.time_grid_peak(5)
         assert started == [2]
-        assert peak < 4 * regimes._TILE_BYTES
+        assert peak < 1.5 * regimes._TIME_TILES_BYTES
 
     def test_tile_buffers_survive_frequent_thread_switches(
         self, monkeypatch, lstar_lagged_generator
