@@ -73,32 +73,34 @@ def _run_test(series, ar_order: int, significance: float, threshold, variant: st
     rows = len(y)
     z = _threshold_vector(threshold, x, rows, ar_order)
     powers = np.column_stack([z, z**2, z**3])
-
-    if variant == ZERO_ORDER:
-        extras = powers
-    else:
-        lags = base[:, 1:]
-        blocks = [lags[:, i : i + 1] * powers for i in range(lags.shape[1])]
-        extras = np.hstack(blocks)
-
-    k_full = base.shape[1] + extras.shape[1]
+    kb = base.shape[1]
+    # t, t^2, t^3, or each lag regressor times them, lag by lag
+    k_full = kb + (3 if variant == ZERO_ORDER else 3 * (kb - 1))
     if rows <= k_full:
         raise SeriesTooShort(f"{rows} usable rows cannot support {k_full} auxiliary parameters")
 
     linear_fit = ols_fit(base, y)
     resid = linear_fit.residuals
 
-    full_design = np.hstack([base, extras])
+    # the auxiliary design is written once, in place
+    full_design = np.empty((rows, k_full))
+    full_design[:, :kb] = base
+    if variant == ZERO_ORDER:
+        full_design[:, kb:] = powers
+    else:
+        for i in range(1, kb):
+            columns = full_design[:, kb + 3 * (i - 1) : kb + 3 * i]
+            np.multiply(base[:, i : i + 1], powers, out=columns)
     aux_fit = ols_fit(full_design, resid)
     restricted = ols_fit(base, resid)
     intercept_only = ols_fit(np.ones((rows, 1)), resid)
 
     df_den = rows - k_full
-    nonlinear_terms_f = f_test(restricted.rss, aux_fit.rss, extras.shape[1], df_den)
+    nonlinear_terms_f = f_test(restricted.rss, aux_fit.rss, k_full - kb, df_den)
     overall_f = f_test(intercept_only.rss, aux_fit.rss, k_full - 1, df_den)
 
     # first-power auxiliary term: t itself, or lag1*t in the interacted form
-    odd_idx = base.shape[1]
+    odd_idx = kb
     t_stat = aux_fit.coefficients[odd_idx] / aux_fit.standard_errors[odd_idx]
     cubic_term_t = t_test(float(t_stat), df_den)
 

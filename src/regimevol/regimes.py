@@ -7,7 +7,9 @@ stages: a (gamma, c) grid where the remaining coefficients solve by OLS,
 followed by a damped Gauss-Newton refinement of all parameters jointly.  Both
 grids score batched normal equations through one chunked first-wins scan, so
 a full search stays fast and its memory bounded; the chunks are scored on the
-CPUs that BLAS leaves idle.
+CPUs that BLAS leaves idle.  On a time threshold the (gamma, c) grid first
+bounds every candidate's RSS in time linear in the series, and only the few
+candidates the bounds cannot rule out reach that scan.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ _EXPLOSION_LIMIT = 1e8
 _EIG_RATIO = 1e-12
 _CERTIFY_RATIO = 100 * _EIG_RATIO
 _GRID_CHUNK = 8192
-_TIME_TILES_BYTES = 1 << 22
+_TIME_TILE_BYTES = 1 << 21
 _LAGGED_TILE_BYTES = 1 << 20
 _OUTER_EXP_LIMIT = 700.0
 _SETAR3_BLOCKS = 128
@@ -509,6 +511,31 @@ def _certified_well_conditioned(gram: np.ndarray, shift=None) -> np.ndarray:
             for i in range(j + 1, k):
                 a[i, j + 1 : i + 1] -= column[i - j - 1] * column[: i - j]
     return certified
+
+
+def _cholesky_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solutions of the stacked positive definite systems ``gram @ beta = rhs``.
+
+    A Cholesky factorization and two triangular solves across the whole
+    stack, a column per step, in the layout of ``_certified_well_conditioned``.
+    The computed beta solves (G + dG) beta = rhs with
+    |dG| <= gamma_(3k+1) |R'||R| (Higham, Accuracy and Stability of Numerical
+    Algorithms, Thm 10.4), and (|R'||R|)_ij <= sqrt(g_ii g_jj).
+    """
+    k = gram.shape[-1]
+    a = gram.transpose(1, 2, 0).copy()
+    b = rhs.T.copy()
+    for j in range(k):
+        a[j, j] = np.sqrt(a[j, j])
+        a[j + 1 :, j] /= a[j, j]
+        for i in range(j + 1, k):
+            a[i, j + 1 : i + 1] -= a[i, j] * a[j + 1 : i + 1, j]
+        b[j] /= a[j, j]
+        b[j + 1 :] -= a[j + 1 :, j] * b[j]
+    for j in reversed(range(k)):
+        b[j] /= a[j, j]
+        b[:j] -= a[j, :j] * b[j]
+    return b.T
 
 
 def _least_eigenvalue_bound(gram: np.ndarray) -> np.ndarray:
@@ -987,14 +1014,170 @@ def _split_logistic(z, c_values):
     return weights
 
 
-def _tile_rows(rows: int, time_threshold: bool, workers: int) -> int:
-    """Candidates per (tile, rows) weights buffer of a grid on ``workers`` threads.
+def _normal_equations(btb, bty, products, lower):
+    """Stacked Gram matrices and X'y of the designs [base, w*block].
 
-    A time threshold's threads share ``_TIME_TILES_BYTES`` of buffers; a
-    lagged value's each hold ``_LAGGED_TILE_BYTES``.
+    ``products`` holds each candidate's w @ [cross | block*y] and ``lower``
+    its (w*w) @ auto, the upper triangle of block'(w*w)block by rows.
     """
-    tile_bytes = _TIME_TILES_BYTES // workers if time_threshold else _LAGGED_TILE_BYTES
-    return -(-tile_bytes // (8 * rows))
+    m, kb = len(products), len(btb)
+    ka = products.shape[1] // (kb + 1)
+    k = kb + ka
+    tri = np.triu_indices(ka)
+    gram = np.empty((m, k, k))
+    gram[:, :kb, :kb] = btb
+    upper = products[:, : kb * ka].reshape(m, kb, ka)
+    gram[:, :kb, kb:] = upper
+    gram[:, kb:, :kb] = upper.transpose(0, 2, 1)
+    gram[:, kb + tri[0], kb + tri[1]] = lower
+    gram[:, kb + tri[1], kb + tri[0]] = lower
+    rhs = np.empty((m, k))
+    rhs[:, :kb] = bty
+    rhs[:, kb:] = products[:, kb * ka :]
+    return gram, rhs
+
+
+def _banded_bounds(kind, at, gammas, lin, auto, btb, bty, yy):
+    """Floor and ceiling of the tile RSS of every time-threshold candidate.
+
+    Yields ``(start, floor, ceiling)`` chunk by chunk: the bounds of the
+    candidates start, start + 1, ... in gamma-major order.  With z
+    consecutive integers and c = z[p] (``at`` holds each c's p), candidate
+    (gamma, c) weights row i by G(i - p).  G = S + E: S is the step G tends
+    to (0, 1/2, 1 below, at and above p for logistic; 1 off p and 0 on it
+    for exponential), and |E| <= exp(-gamma |d|), or exp(-gamma d^2), at
+    lag d.  So S's part of w @ [lin | auto] comes from suffix sums of the
+    rows, and E's from the band |d| <= h beyond which that envelope is under
+    the unit roundoff u, h = ceil(ln(1/u) / gamma) (its square root for
+    exponential): one (gammas, band) @ (band, c columns) product per block
+    of c, over the band's rows of ``lin`` and ``auto``.  The band's weights
+    are ``_transition_weights`` on the lags, the floats the tiles use.  Each
+    banded Gram is certified and solved by a batched Cholesky, and its RSS
+    less or plus a margin is the candidate's floor and ceiling.
+
+    The margin.  Let n be the rows, k the coefficients, gamma_j =
+    j u / (1 - j u), and G and r the exact Gram and X'y of the computed
+    weights w (and of fl(w*w)); both forms share base'base, base'y and y'y
+    to the bit.  The tiles' products are off from G and r by at most gamma_n
+    times the column absolute sums of ``lin`` and ``auto`` (|w| <= 1).  The
+    banded form is off by gamma_n for its suffix sums, gamma_(2h+1) for its
+    band, 4u for the lags beyond the band (u from the envelope and 3u for
+    the rounding of w; 9u for w*w) and a rounding each for E and two sums.
+    So the two differ entrywise by at most e = gamma_4n + 12u times those
+    sums, A in the Gram and a in X'y.  RSS = y'y - r'G^-1 r is stationary in
+    beta = G^-1 r, so to first order the data move it by
+    e (|beta|'A|beta| + 2 |beta|'a).  The tiles solve by LU with partial
+    pivoting, exact for G + F with |F| <= gamma_3k P'|L||U| (Higham,
+    Accuracy and Stability of Numerical Algorithms, Thm 9.3), and with
+    |l_ij| <= 1, |L||L^-1| <= 2^(k-1) entrywise, so
+    |beta'F beta| <= gamma_3k 2^(k-1) ||beta||_1 1'|G||beta|.  The banded
+    Cholesky solve adds at most gamma_(3k+1) (sum_i sqrt(g_ii) |beta_i|)^2
+    (``_cholesky_solve``), each dot r'beta gamma_k |r|'|beta| and each final
+    subtraction u RSS.  E is the sum of these terms, taken with the banded
+    beta, G and r, and the margin is 2 E: the factor 2 covers the computed
+    beta in place of the exact one and every second-order term while the
+    whole perturbation, eta = e ||A||_F + (gamma_3k 2^(k-1) k^1.5 +
+    gamma_(3k+1)) trace(G) in norm, is at most 1/8 of lambda_min(G).  That
+    holds where the banded Gram passes ``_certified_well_conditioned`` with
+    the shift ``_CERTIFY_RATIO`` trace(G) + 8 eta: lambda_min(G) is then at
+    least 8 eta, and the tiles' Gram, within e ||A||_F of it, keeps an
+    eigenvalue ratio of about ``_CERTIFY_RATIO``, so their rank screen
+    passes it and its tile RSS is finite.  A Gram that fails, doubtful or
+    near the screen, gets no floor (-inf) and no ceiling (inf), and the
+    tiles screen it.  Unlike ``_block_floors``'s margin, this one does not
+    go through a bound on lambda_min, which badly scaled designs make large:
+    on volatility series it is 1e-9 to 1e-6 of the RSS.
+    """
+    rows, width = lin.shape
+    kb = len(btb)
+    k = kb + width // (kb + 1)
+    u = np.finfo(float).eps / 2
+    n_c = len(at)
+
+    def gamma_u(j):
+        return j * u / (1 - j * u)
+
+    e = gamma_u(4 * rows) + 12 * u
+    lu = gamma_u(3 * k) * 2.0 ** (k - 1)
+    abs_sums, abs_rhs = _normal_equations(
+        np.zeros((kb, kb)), np.zeros(kb), np.abs(lin).sum(0)[None], np.abs(auto).sum(0)[None]
+    )
+    abs_sums, abs_rhs = abs_sums[0], abs_rhs[0]
+    data_norm = e * np.sqrt((abs_sums * abs_sums).sum())
+
+    # S's part: suffix sums of the rows, plus or minus a share of row p
+    both = np.hstack([lin, auto])
+    suffix = np.zeros((rows + 1, both.shape[1]))
+    suffix[:rows] = np.cumsum(both[::-1], axis=0)[::-1]
+    if kind == LOGISTIC:
+        share = np.repeat([0.5, 0.25], [width, auto.shape[1]])
+        steps = suffix[at + 1] + share * both[at]
+    else:
+        steps = suffix[0] - both[at]
+    step_lin, step_auto = steps[:, :width], steps[:, width:]
+    del both, suffix
+
+    reach = np.log(1 / u) / gammas
+    if kind == EXPONENTIAL:
+        reach = np.sqrt(reach)
+    half = np.minimum(np.ceil(reach), rows - 1).astype(np.intp)
+    pad = int(half.max())
+    padded_lin = np.zeros((rows + 2 * pad, width))
+    padded_lin[pad : pad + rows] = lin
+    padded_auto = np.zeros((rows + 2 * pad, auto.shape[1]))
+    padded_auto[pad : pad + rows] = auto
+
+    def bounds(products, lower):
+        gram, rhs = _normal_equations(btb, bty, products, lower)
+        trace = np.trace(gram, axis1=1, axis2=2)
+        eta = data_norm + (lu * k**1.5 + gamma_u(3 * k + 1)) * trace
+        certified = _certified_well_conditioned(gram, _CERTIFY_RATIO * trace + 8 * eta)
+        gram[~certified], rhs[~certified] = np.eye(k), 0.0
+        beta = _cholesky_solve(gram, rhs)
+        rss = yy - np.einsum("mk,mk->m", rhs, beta)
+        size = np.abs(beta)
+        error = e * (np.einsum("mi,ij,mj->m", size, abs_sums, size) + 2 * size @ abs_rhs)
+        error += lu * size.sum(1) * np.einsum("mij,mj->m", np.abs(gram), size)
+        scaled = size * np.sqrt(np.einsum("mii->mi", gram))
+        error += gamma_u(3 * k + 1) * np.square(scaled.sum(1))
+        error += 2 * gamma_u(k) * np.einsum("mk,mk->m", np.abs(rhs), size) + 2 * u * np.abs(rss)
+        margin = 2 * error
+        valid = certified & np.isfinite(margin)
+        floor = np.where(valid, rss - margin, -np.inf)
+        return floor, np.where(valid, np.maximum(rss + margin, 0.0), np.inf)
+
+    # chunks of about _GRID_CHUNK / 2 candidates in index order, whole rows
+    # of gammas or a block of c of one gamma, each of gammas whose band
+    # half-widths share a power of 2
+    per_g, per_c = max(1, _GRID_CHUNK // (2 * n_c)), min(n_c, _GRID_CHUNK // 2)
+    scale = np.frexp(half + 1)[1]
+    cuts = [0, *(np.flatnonzero(np.diff(scale)) + 1), len(gammas)]
+    for lo, hi in zip(cuts, cuts[1:]):
+        for g0 in range(lo, hi, per_g):
+            g = gammas[g0 : min(g0 + per_g, hi)]
+            h = int(half[g0 : g0 + len(g)].max())
+            lags = np.arange(-h, h + 1, dtype=float)
+            w = _transition_weights(kind, lags, g[:, None], 0.0)
+            step = (lags > 0) + 0.5 * (lags == 0) if kind == LOGISTIC else 1.0 * (lags != 0)
+            band, band_sq = w - step, w * w - step * step
+            offsets = np.arange(2 * h + 1) + (pad - h)
+            # the band's rows of a block of c take at most about 1 MB
+            per_block = max(1, (1 << 20) // (8 * (2 * h + 1) * width))
+            for c0 in range(0, n_c, per_c):
+                c1 = min(c0 + per_c, n_c)
+                products = np.empty((len(g), c1 - c0, width))
+                lower = np.empty((len(g), c1 - c0, auto.shape[1]))
+                for b0 in range(c0, c1, per_block):
+                    b1 = min(b0 + per_block, c1)
+                    band_rows = at[b0:b1][None, :] + offsets[:, None]
+                    lin_band = band @ padded_lin[band_rows].reshape(2 * h + 1, -1)
+                    auto_band = band_sq @ padded_auto[band_rows].reshape(2 * h + 1, -1)
+                    done = slice(b0 - c0, b1 - c0)
+                    products[:, done] = lin_band.reshape(len(g), b1 - b0, -1) + step_lin[b0:b1]
+                    lower[:, done] = auto_band.reshape(len(g), b1 - b0, -1) + step_auto[b0:b1]
+                del band_rows, lin_band, auto_band
+                m = len(g) * (c1 - c0)
+                yield g0 * n_c + c0, *bounds(products.reshape(m, -1), lower.reshape(m, -1))
 
 
 def _profiled_grid(base, block, y, z, gammas, c_values, kind, time_threshold):
@@ -1005,13 +1188,12 @@ def _profiled_grid(base, block, y, z, gammas, c_values, kind, time_threshold):
     the winner; candidates whose design is rank deficient are skipped.
     Candidates are scanned gamma-major, c-minor, and ties keep the first.
 
-    Candidates are scored ``tile`` at a time (``_tile_rows``), in place in a
-    (tile, rows) buffer of weights w, so memory grows linearly in rows.  A
-    lagged value takes three products, w @ cross, w @ block*y and, once w is
-    squared in place, (w*w) @ auto.  A time threshold takes one product per
-    power of w: w @ [cross | block*y], and (w*w) @ auto with auto zero-padded
-    to the same width.  The chunk's next tile refills the buffer, and the
-    chunk frees it before it assembles and solves its Grams.
+    Candidates are scored a tile at a time, in place in a (tile, rows)
+    buffer of weights w, so memory grows linearly in rows.  A lagged value
+    takes three products, w @ cross, w @ block*y and, once w is squared in
+    place, (w*w) @ auto.  A time threshold takes one product per power of w:
+    w @ [cross | block*y], and (w*w) @ auto with auto zero-padded to the
+    same width.
 
     A lagged-value threshold evaluates each candidate's transition on z.  A
     logistic one takes its weights from one outer product per run of one
@@ -1019,45 +1201,62 @@ def _profiled_grid(base, block, y, z, gammas, c_values, kind, time_threshold):
     over the run's c values, O(rows) per gamma and never a table over the
     whole gamma grid.  An exponential one is evaluated directly: its
     2 gamma z c term does not split into a row factor times a c factor.
-
-    A time threshold requires z to be consecutive integers and every c one
-    of them: G at row i then depends on z[i] - c alone, so each chunk
-    evaluates the transition of its gammas once on the lags
-    -(rows-1)..rows-1, and its tiles copy each candidate's window of it.
-    The lags are the same floats as z - c, so the weights are bit-identical
-    to evaluating each candidate.
-
-    ``_first_min`` scores chunks of whole tiles on up to two worker threads.
-    Each chunk makes its own weights buffer, and a chunk is sized so that
+    ``_first_min`` scores chunks of whole tiles on up to two worker threads;
+    each chunk makes its own weights buffer, and a chunk is sized so that
     the workers together hold about ``_GRID_CHUNK`` candidates at a time.
-
     Every product has ``tile`` rows: chunks hold whole tiles, and the grid's
     short last tile reaches back over candidates already scored.  So the
     tiles are the same whatever the chunk size, and so is the RSS, to the
-    bit.  A time threshold's workers share ``_TIME_TILES_BYTES``, 4 MiB: one
-    worker takes a 4 MiB tile and two take 2 MiB each, so the grid's buffers
-    take the same 4 MiB on any host.  A full tile's products then take more
-    than the 1e6 multiply-adds under which OpenBLAS switches to a
-    small-matrix kernel: 2 MiB of weights make 2**18 of them per column, and
-    the narrowest product has 6 columns.  In the blocked kernel an entry's
-    bits do not depend on the tile's rows, the candidate's place in the tile
-    or the product's width (``TestPaddedTileProducts`` pins this on the
-    installed OpenBLAS).  So the padded products give each entry the bits of
-    separate products, on one worker's tiles or two's, and the time grid
-    keeps its bits, which matter there, since its steep logistic gammas tie
-    to roundoff.  A grid of fewer candidates than a tile is one product of
-    its own rows on any number of workers, in the small-matrix kernel when
-    under the limit.  A lagged value's 1 MiB tiles, half of a 2 MiB L2
-    cache, are faster, and most of their products run in the small-matrix
-    kernel, whose bits depend on a row's position in the tile but not on the
+    bit.  A lagged value's 1 MiB tiles, half of a 2 MiB L2 cache, are
+    faster, and most of their products run in the small-matrix kernel,
+    whose bits depend on a row's position in the tile but not on the
     buffer's alignment.  So that tile size is a constant, never read from
     the host: another size would move the last bits, and with them a winner
     where candidates tie to roundoff, as on a random walk's plateau of steep
     gammas.
+
+    A time threshold requires z to be consecutive integers and every c one
+    of them.  A grid of at most one ``_TIME_TILE_BYTES`` tile is one product
+    of its own rows.  A larger one first bounds every candidate's tile RSS
+    (``_banded_bounds``, which derives the bound): from suffix sums and a
+    band of lags, O(rows) per gamma plus a band per candidate, it certifies
+    and solves a banded Gram G with X'y r and coefficients beta, and the
+    floor and ceiling are that RSS less and plus 2 E, with
+
+        E = e (|beta|'A|beta| + 2 |beta|'a)
+            + gamma_3k 2^(k-1) ||beta||_1 1'|G||beta|
+            + gamma_(3k+1) (sum_i sqrt(g_ii) |beta_i|)^2
+            + 2 gamma_k |r|'|beta| + 2 u RSS,
+
+    e = gamma_4n + 12u, A and a the column absolute sums of the products'
+    right-hand sides, u the unit roundoff and gamma_j = j u / (1 - j u).  A
+    Gram that fails ``_certified_well_conditioned`` with the shift
+    ``_CERTIFY_RATIO`` trace(G) + 8 eta, eta the norm of the perturbation,
+    is doubtful or near the rank screen: it gets floor -inf and ceiling inf.
+    Only candidates whose floor is at most the least ceiling, or the least
+    tile RSS already found, are scored with the tiles: weights that are
+    windows of ``_transition_weights`` on the lags z - c, zero past the last
+    candidate, one product per power of w and ``_screened_rss``.  Every other
+    candidate's tile RSS exceeds the winner's, so it can neither win nor
+    tie, and the winner, its RSS and the first-wins rule are those of
+    scoring every candidate with the tiles.  On volatility series a
+    logistic grid leaves one tile of candidates, scored on the calling
+    thread.  Nearly every time-threshold ESTAR Gram is doubtful, so once
+    more than half of the candidates bounded so far have no floor, the rest
+    of the grid goes to the tiles unbounded, on up to two threads like a
+    lagged grid, in chunks of whole tiles.
+
+    A 2 MiB tile makes 2**18 multiply-adds per product column, and the
+    narrowest product has 6 columns, so every full tile's products take
+    more than the 1e6 under which OpenBLAS switches to its small-matrix
+    kernel.  In the blocked kernel an entry's bits do not depend on the
+    tile's rows or the candidate's place in it (``TestPaddedTileProducts``
+    pins this on the installed OpenBLAS), so a candidate's tile RSS is the
+    same whichever candidates share its tile.  A grid of at most one tile
+    runs in the small-matrix kernel when under the limit, as it always did.
     """
     rows, kb = base.shape
     ka = block.shape[1]
-    k = kb + ka
     btb = base.T @ base
     bty = base.T @ y
     yy = float(y @ y)
@@ -1065,24 +1264,110 @@ def _profiled_grid(base, block, y, z, gammas, c_values, kind, time_threshold):
     tri = np.triu_indices(ka)
     auto = (block[:, :, None] * block[:, None, :])[:, tri[0], tri[1]]
     block_y = block * y[:, None]
-
     n_c = len(c_values)
     n_candidates = len(gammas) * n_c
+
     if time_threshold:
         # one product per power of w: w @ [cross | block*y], and (w*w) @ auto
         # zero-padded to the same width
         lin = np.hstack([cross, block_y])
         auto_wide = np.zeros_like(lin)
         auto_wide[:, : auto.shape[1]] = auto
-        lags = np.arange(-(rows - 1), rows, dtype=float)
-        # window start in ``lags`` for each c: lags[start + i] == z[i] - c
-        window_start = (z[0] - c_values).astype(np.intp) + (rows - 1)
-    elif kind == LOGISTIC:
+        tile = min(n_candidates, -(-_TIME_TILE_BYTES // (8 * rows)))
+        at = (c_values - z[0]).astype(np.intp)
+
+        def exact(picks):
+            # tile by tile, zero past the last pick.  The picks read windows
+            # of one table of their gammas' transitions on the lags they
+            # reach, the floats z - c; a run of one gamma and consecutive c
+            # is one reversed slab
+            weights = np.empty((tile, rows))
+            m = len(picks)
+            products = np.empty((m, lin.shape[1]))
+            lower = np.empty((m, auto.shape[1]))
+            pick_g, pick_at = picks // n_c, at[picks % n_c]
+            new_gamma = np.diff(pick_g, prepend=-1) != 0
+            last = pick_at.max()
+            lags = np.arange(-last, rows - pick_at.min(), dtype=float)
+            table = _transition_weights(kind, lags, gammas[pick_g[new_gamma], None], 0.0)
+            # windows[j, s] holds the j-th gamma's weights of the c at row last - s
+            windows = np.lib.stride_tricks.sliding_window_view(table, rows, axis=1)
+            group, reach = np.cumsum(new_gamma) - 1, last - pick_at
+            breaks = np.flatnonzero((np.diff(pick_g) != 0) | (np.diff(pick_at) != 1)) + 1
+            for start in range(0, m, tile):
+                end = min(start + tile, m)
+                first_break, last_break = np.searchsorted(breaks, [start + 1, end])
+                runs = [start, *breaks[first_break:last_break], end]
+                for lo, hi in zip(runs, runs[1:]):
+                    slab = windows[group[lo], reach[hi - 1] : reach[lo] + 1]
+                    np.copyto(weights[lo - start : hi - start], slab[::-1])
+                weights[end - start :] = 0.0
+                products[start:end] = (weights @ lin)[: end - start]
+                squares = np.multiply(weights, weights, out=weights)
+                lower[start:end] = (squares @ auto_wide)[: end - start, : auto.shape[1]]
+            del weights, squares, table, windows
+            return _screened_rss(*_normal_equations(btb, bty, products, lower), yy)
+
+        workers = min(_WORKERS, 2)
+        chunk = tile * max(1, _GRID_CHUNK // (workers * tile))
+        best, best_rss = -1, np.inf
+        cutoff = np.inf
+        pending, floors = np.empty(0, np.intp), np.empty(0)
+
+        def settle(count, picks):
+            # the first least tile RSS of count candidates, picks(lo, hi)
+            # of them at a time in increasing order, against the best so far
+            nonlocal best, best_rss, cutoff
+            try:
+                pick, rss = _first_min(count, lambda lo, hi: exact(picks(lo, hi)), chunk, workers)
+            except NoFeasibleThreshold:
+                return
+            pick = int(picks(pick, pick + 1)[0])
+            if rss < best_rss or (rss == best_rss and pick < best):
+                best, best_rss = pick, rss
+            cutoff = min(cutoff, best_rss)
+
+        # a grid of one tile is one product, unbounded
+        bounds = ()
+        if n_candidates > tile:
+            bounds = _banded_bounds(kind, at, gammas, lin, auto, btb, bty, yy)
+        stop = bounded = unfloored = 0
+        for start, floor, ceiling in bounds:
+            stop = start + len(floor)
+            bounded += len(floor)
+            unfloored += int(np.count_nonzero(floor == -np.inf))
+            cutoff = min(cutoff, float(ceiling.min()))
+            keep = floors <= cutoff
+            alive = np.flatnonzero(floor <= cutoff)
+            pending = np.concatenate([pending[keep], start + alive])
+            floors = np.concatenate([floors[keep], floor[alive]])
+            if unfloored > bounded // 2:
+                # most Grams are doubtful: the tiles screen the rest unbounded
+                break
+            if len(pending) >= _GRID_CHUNK:
+                pending.sort()
+                settle(len(pending), lambda lo, hi: pending[lo:hi])
+                pending, floors = pending[:0], floors[:0]
+        del bounds  # and with it a generator stopped early
+        # the survivors, then every candidate from stop on, in one scan
+        pending = np.sort(pending[floors <= cutoff])
+        shift = stop - len(pending)
+        settle(
+            n_candidates - shift,
+            lambda lo, hi: np.concatenate(
+                [pending[lo:hi], np.arange(max(lo, len(pending)), max(hi, len(pending))) + shift]
+            ),
+        )
+        if best < 0:
+            raise NoFeasibleThreshold("every candidate threshold is rank deficient")
+        return float(gammas[best // n_c]), float(c_values[best % n_c]), best_rss
+
+    if kind == LOGISTIC:
         split = _split_logistic(z, c_values)
     workers = min(_WORKERS, 2)
-    tile = min(n_candidates, _tile_rows(rows, time_threshold, workers))
+    tile = min(n_candidates, -(-_LAGGED_TILE_BYTES // (8 * rows)))
 
-    def lagged_fill(picks, weights):
+    def fill(picks, weights):
         pick_g, pick_c = picks // n_c, picks % n_c
         if kind != LOGISTIC:
             return _transition_weights(
@@ -1094,65 +1379,25 @@ def _profiled_grid(base, block, y, z, gammas, c_values, kind, time_threshold):
             split(gammas[pick_g[lo]], c_values[pick_c[lo:hi]], weights[lo:hi])
         return weights
 
-    def time_fill(start, stop):
-        """``fill(picks, weights)`` for the tiles of chunk start..stop-1,
-        copying from one transition table of the gammas they reach."""
-        # the grid's short last tile reaches back before the chunk's start
-        g_first = max(0, min(start, stop - tile)) // n_c
-        g_span = gammas[g_first : (stop - 1) // n_c + 1, None]
-        table = _transition_weights(kind, lags[None, :], g_span, 0.0)
-        # windows[g, s] is table[g, s : s + rows], so a run of candidates
-        # whose window starts step down by 1 is one reversed slab of it.  c
-        # increases, so starts decrease within a gamma and go up where the
-        # next gamma begins: every run has one gamma
-        windows = np.lib.stride_tricks.sliding_window_view(table, rows, axis=1)
-
-        def fill(picks, weights):
-            pick_g, starts = picks // n_c - g_first, window_start[picks % n_c]
-            cuts = [0, *(np.flatnonzero(np.diff(starts) != -1) + 1), len(picks)]
-            for lo, hi in zip(cuts, cuts[1:]):
-                slab = windows[pick_g[lo], starts[hi - 1] : starts[lo] + 1]
-                np.copyto(weights[lo:hi], slab[::-1])
-            return weights
-
-        return fill
-
     def tiled(start, stop):
-        fill = time_fill(start, stop) if time_threshold else lagged_fill
         weights = np.empty((tile, rows))
         m = stop - start
-        upper = np.empty((m, kb * ka))
+        products = np.empty((m, kb * ka + ka))
         lower = np.empty((m, auto.shape[1]))
-        rhs_tail = np.empty((m, ka))
         for lo in range(start, stop, tile):
             hi = min(lo + tile, stop)
             # the grid's short last tile reaches back over scored rows
             first = max(0, hi - tile)
             w = fill(np.arange(first, hi), weights)
             done, new = slice(lo - start, hi - start), slice(lo - first, None)
-            if time_threshold:
-                both = (w @ lin)[new]
-                upper[done], rhs_tail[done] = both[:, : kb * ka], both[:, kb * ka :]
-                lower[done] = (np.multiply(w, w, out=w) @ auto_wide)[new, : auto.shape[1]]
-            else:
-                upper[done] = (w @ cross)[new]
-                rhs_tail[done] = (w @ block_y)[new]
-                lower[done] = (np.multiply(w, w, out=w) @ auto)[new]
-        del weights, w, fill
-        gram = np.empty((m, k, k))
-        gram[:, :kb, :kb] = btb
-        upper = upper.reshape(m, kb, ka)
-        gram[:, :kb, kb:] = upper
-        gram[:, kb:, :kb] = upper.transpose(0, 2, 1)
-        gram[:, kb + tri[0], kb + tri[1]] = lower
-        gram[:, kb + tri[1], kb + tri[0]] = lower
-        rhs = np.empty((m, k))
-        rhs[:, :kb] = bty
-        rhs[:, kb:] = rhs_tail
-        return _screened_rss(gram, rhs, yy)
+            products[done, : kb * ka] = (w @ cross)[new]
+            products[done, kb * ka :] = (w @ block_y)[new]
+            lower[done] = (np.multiply(w, w, out=w) @ auto)[new]
+        del weights, w
+        return _screened_rss(*_normal_equations(btb, bty, products, lower), yy)
 
-    # each chunk holds a (tile, rows) buffer: two threads at most keep a time
-    # grid's buffers within 4 MiB and a lagged grid's within 2 MiB, on any host
+    # each chunk holds a (tile, rows) buffer: two threads at most keep a
+    # lagged grid's buffers within 2 MiB on any host
     chunk = tile * max(1, _GRID_CHUNK // (workers * tile))
     best, rss = _first_min(n_candidates, tiled, chunk, workers)
     return float(gammas[best // n_c]), float(c_values[best % n_c]), rss

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,23 @@ class TestStructure:
             assert rep.verdict == "lstar"
         else:
             assert rep.verdict == "estar"
+
+
+    def test_first_order_design_is_held_once(self):
+        # at order 20 on 2,000 values the auxiliary design is 1,980 x 81,
+        # D = 1.28 MB.  ols_fit holds it with its standardized copy and
+        # QR's two arrays of the same size, 4 D; the base design (21 of 81
+        # columns), the powers of t and a few vectors add under half a D.
+        # So the peak stays under 5 D; the interaction columns held apart
+        # from the design, twice over, took it to 5.9 D
+        x = np.abs(1.0 + 0.01 * np.cumsum(np.random.default_rng(0).normal(size=2000)))
+        tracemalloc.start()
+        try:
+            terasvirta_first_order(x, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 1980 * 81 * 8
 
 
 class TestInvariances:

@@ -339,14 +339,15 @@ def _weights(kind, z, gamma, c):
     return TransitionSpec(kind, gamma, c).weights(z)
 
 
-def _chunked_grid(base, block, y, z, gammas, c_values, kind, time_threshold=False):
+def _chunked_grid(base, block, y, z, gammas, c_values, kind, time_threshold=False, every=False):
     """The (gamma, c) grid scored the direct way: each candidate's weights
     evaluated on z, gathered ``_GRID_CHUNK`` candidates at a time, one
     (chunk, rows) product per Gram block, and ``regimes._screened_rss``.
 
     With ``time_threshold`` the products take the grid's layout for a time
     threshold, w @ [cross | block*y] and (w*w) @ auto zero-padded to the same
-    width: under the small-matrix kernel's limit, the padding moves bits."""
+    width: under the small-matrix kernel's limit, the padding moves bits.
+    With ``every`` it returns every candidate's RSS, gamma-major."""
     rows, kb = base.shape
     ka = block.shape[1]
     k = kb + ka
@@ -386,7 +387,15 @@ def _chunked_grid(base, block, y, z, gammas, c_values, kind, time_threshold=Fals
         rhs[:, kb:] = rhs_tail
         return regimes._screened_rss(gram, rhs, yy)
 
-    best, rss = regimes._first_min(len(gammas) * n_c, score)
+    n_candidates = len(gammas) * n_c
+    if every:
+        # the grid's own 2 MiB tiles keep the chunks' memory small
+        step = -(-regimes._TIME_TILE_BYTES // (8 * rows))
+        return np.concatenate(
+            [score(start, min(start + step, n_candidates))
+             for start in range(0, n_candidates, step)]
+        )
+    best, rss = regimes._first_min(n_candidates, score)
     return float(gammas[best // n_c]), float(c_values[best % n_c]), rss
 
 
@@ -423,8 +432,19 @@ class TestProfiledGridOracle:
         kind=st.sampled_from(["logistic", "exponential"]),
         second=st.booleans(),
         gammas=st.lists(st.floats(0.5, 200.0), min_size=1, max_size=10, unique=True),
+        small_tile=st.booleans(),
     )
-    def test_grid_minimum_matches_oracle(self, seed, n, tv_kind, kind, second, gammas):
+    @example(seed=0, n=80, tv_kind=TIME, kind="logistic", second=True, gammas=[1.0, 7.0, 60.0],
+             small_tile=True)
+    def test_grid_minimum_matches_oracle(self, seed, n, tv_kind, kind, second, gammas, small_tile):
+        # every drawn grid fits one default tile; a 16-candidate tile makes
+        # a time threshold's grids larger than one, so they take the banded
+        # bounds and score only their survivors
+        tile_bytes = 8 * 16 * n if small_tile else regimes._TIME_TILE_BYTES
+        with mock.patch.object(regimes, "_TIME_TILE_BYTES", tile_bytes):
+            self.check(seed, n, tv_kind, kind, second, gammas)
+
+    def check(self, seed, n, tv_kind, kind, second, gammas):
         rng = np.random.default_rng(seed)
         noise = rng.normal(size=n)
         x = np.empty(n)
@@ -578,12 +598,14 @@ class _SolveCounter:
 
     def __init__(self):
         self.solved = 0
+        self.calls = 0
 
     def __enter__(self):
         computed = regimes._screened_rss
 
         def counting(gram, *args, **kwargs):
             self.solved += len(gram)
+            self.calls += 1
             return computed(gram, *args, **kwargs)
 
         self.patch = mock.patch.object(regimes, "_screened_rss", counting)
@@ -700,7 +722,8 @@ class TestPrunedSetarScan:
 
 
 class TestTimeThresholdGrid:
-    """Shifted windows of one transition per gamma against per-candidate weights."""
+    """A time threshold's banded bounds and tiles of survivors against
+    every candidate scored directly."""
 
     @staticmethod
     def grid_results(monkeypatch, x, transitions, kind, shifted):
@@ -708,7 +731,7 @@ class TestTimeThresholdGrid:
         computed = regimes._profiled_grid
 
         def recording(*args):
-            assert args[-1] is True  # fit_lstar takes the shifted path on time
+            assert args[-1] is True  # fit_lstar takes the time-threshold path
             out = computed(*args) if shifted else _chunked_grid(*args)
             results.append((out, len(args[4]) * len(args[5])))
             return out
@@ -733,17 +756,17 @@ class TestTimeThresholdGrid:
         assert len(shifted) == transitions
         assert shifted == computed
         if n == 300:
-            # the first grid spans more than one chunk
+            # the first grid spans more than one chunk and one tile
             assert shifted[0][1] > regimes._GRID_CHUNK
 
     @pytest.mark.parametrize("kind", ["logistic", "exponential"])
     def test_slabs_across_a_c_gap_and_a_gamma_boundary(
         self, monkeypatch, lstar_time_generator, kind
     ):
-        # a second transition's c grid skips the band around the first c, so
-        # window starts jump there, and the grid's short last tile reaches
-        # back into an earlier gamma: both cut a tile's copy into slabs
-        monkeypatch.setattr(regimes, "_WORKERS", 1)
+        # a second transition's c grid skips the band around the first c,
+        # and a tile holds the rows of several gammas: both cut a tile's
+        # copy of the transition's windows into slabs.  With no candidate
+        # bounded, every one of them reaches the tiles
         x = simulate(lstar_time_generator, 300, 0.05, seed=8)
         design, y, z, c_values = _grid_inputs(x, ThresholdVariable(TIME))
         at = len(c_values) // 3
@@ -752,35 +775,131 @@ class TestTimeThresholdGrid:
         c_values = c_values[np.abs(np.arange(len(c_values)) - at) >= gap]
         gammas = GammaGrid(points=40).values()
         assert np.any(np.diff(c_values) > 1)
-        n_c, n_candidates = len(c_values), len(gammas) * len(c_values)
-        tile = regimes._tile_rows(len(y), True, 1)
-        assert n_candidates % tile and (n_candidates - tile) // n_c < (n_candidates - 1) // n_c
+        tile = -(-regimes._TIME_TILE_BYTES // (8 * len(y)))
+        assert len(c_values) < tile < len(gammas) * len(c_values)
 
+        def unbounded(kind, at, gammas, *args):
+            count = len(gammas) * len(at)
+            yield 0, np.full(count, -np.inf), np.full(count, np.inf)
+
+        monkeypatch.setattr(regimes, "_banded_bounds", unbounded)
         got = regimes._profiled_grid(base, design, y, z, gammas, c_values, kind, True)
         assert got == _chunked_grid(base, design, y, z, gammas, c_values, kind, True)
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_each_chunk_evaluates_its_transition_table_once(
-        self, monkeypatch, lstar_time_generator, workers
+
+def _break_volatility(n_prices, slot):
+    """Realized volatility of the benchmark's break prices, 60-day window."""
+    from perfbench.workloads import break_prices
+    from regimevol.series import log_returns, realized_volatility
+
+    prices, _ = break_prices(np.random.default_rng([7, n_prices, slot]), n_prices)
+    return realized_volatility(log_returns(prices), 60)
+
+
+def _random_walk():
+    return 10.0 + np.cumsum(np.random.default_rng(5).normal(size=400))
+
+
+def _time_grids(monkeypatch, x, transitions, kind, points):
+    """The arguments of each time-threshold grid of a fit, in order."""
+    calls = []
+    computed = regimes._profiled_grid
+
+    def recording(*args):
+        calls.append(args)
+        return computed(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(regimes, "_profiled_grid", recording)
+        fit_lstar(
+            x, 1, transitions, ThresholdVariable(TIME), gamma_grid=GammaGrid(points=points),
+            transition=kind, refine=False,
+        )
+    return calls
+
+
+class TestGridFloors:
+    """Every time-threshold candidate's tile RSS lies between its banded floor and ceiling."""
+
+    @staticmethod
+    def bounds(base, block, y, z, gammas, c_values, kind):
+        rows, kb = base.shape
+        ka = block.shape[1]
+        cross = (base[:, :, None] * block[:, None, :]).reshape(rows, kb * ka)
+        tri = np.triu_indices(ka)
+        auto = (block[:, :, None] * block[:, None, :])[:, tri[0], tri[1]]
+        lin = np.hstack([cross, block * y[:, None]])
+        at = (c_values - z[0]).astype(np.intp)
+        btb, bty, yy = base.T @ base, base.T @ y, float(y @ y)
+        chunks = list(regimes._banded_bounds(kind, at, gammas, lin, auto, btb, bty, yy))
+        assert [start for start, _, _ in chunks] == list(
+            np.cumsum([0] + [len(floor) for _, floor, _ in chunks[:-1]])
+        )
+        return np.concatenate([c[1] for c in chunks]), np.concatenate([c[2] for c in chunks])
+
+    @pytest.mark.parametrize("kind", ["logistic", "exponential"])
+    @pytest.mark.parametrize("transitions", [1, 2])
+    @pytest.mark.parametrize(
+        "source, points",
+        [
+            pytest.param(lambda: _break_volatility(560, 0), 40, id="vol560-0"),
+            pytest.param(lambda: _break_volatility(560, 1), 40, id="vol560-1"),
+            pytest.param(lambda: _break_volatility(2060, 0), 10, id="vol2060-0"),
+            pytest.param(lambda: _break_volatility(2060, 1), 10, id="vol2060-1"),
+            pytest.param(_random_walk, 40, id="walk"),
+            pytest.param(lambda: simulate(
+                make_regime_model(
+                    "lstar", [[0.02, 0.95], [0.0, -0.3]], thresholds=[220.0],
+                    transitions=[TransitionSpec("logistic", 10.0 / 440.0, 220.0)],
+                    tv=ThresholdVariable(TIME),
+                ), 300, 0.05, seed=4), 40, id="lstar-time"),
+        ],
+    )
+    def test_floor_and_ceiling_hold_the_tile_rss(
+        self, monkeypatch, source, points, transitions, kind
     ):
-        x = simulate(lstar_time_generator, 300, 0.05, seed=3)
-        design, y, z, c_values = _grid_inputs(x, ThresholdVariable(TIME))
-        gammas = GammaGrid(points=40).values()
-        monkeypatch.setattr(regimes, "_WORKERS", workers)
-        expected = regimes._profiled_grid(design, design, y, z, gammas, c_values, "logistic", True)
-        calls = []
-        computed = regimes._transition_weights
+        x = source()
+        for args in _time_grids(monkeypatch, x, transitions, kind, points):
+            floor, ceiling = self.bounds(*args[:7])
+            rss = _chunked_grid(*args[:7], True, every=True)
+            assert np.all(floor <= rss) and np.all(rss <= ceiling)
+            # a ceiling is finite only where the tiles' rank screen passes
+            assert np.all(np.isfinite(rss[np.isfinite(ceiling)]))
+            if kind == "logistic" and source is not _random_walk:
+                # on these series nearly every logistic Gram is floored
+                assert np.mean(np.isfinite(floor)) > 0.99
 
-        def counting(*args, **kwargs):
-            calls.append(args[2].shape)
-            return computed(*args, **kwargs)
 
-        monkeypatch.setattr(regimes, "_transition_weights", counting)
-        got = regimes._profiled_grid(design, design, y, z, gammas, c_values, "logistic", True)
-        assert got == expected
-        tile = regimes._tile_rows(len(y), True, workers)
-        chunk = tile * max(1, regimes._GRID_CHUNK // (workers * tile))
-        assert len(calls) == -(-len(gammas) * len(c_values) // chunk) > 1
+class TestBandedSurvivors:
+    """Only the candidates the banded bounds cannot rule out reach the tiles."""
+
+    @pytest.mark.parametrize("transitions", [1, 2])
+    @pytest.mark.parametrize(
+        "n_prices, slot, points", [(560, 0, 200), (560, 1, 200), (2060, 0, 40), (2060, 1, 40)]
+    )
+    def test_one_padded_tile_per_logistic_grid(
+        self, monkeypatch, n_prices, slot, points, transitions
+    ):
+        x = _break_volatility(n_prices, slot)
+        candidates = []
+        computed = regimes._profiled_grid
+
+        def recording(*args):
+            candidates.append(len(args[4]) * len(args[5]))
+            return computed(*args)
+
+        monkeypatch.setattr(regimes, "_profiled_grid", recording)
+        with _SolveCounter() as counter:
+            fit_lstar(
+                x, 1, transitions, ThresholdVariable(TIME), gamma_grid=GammaGrid(points=points),
+                refine=False,
+            )
+        tile = -(-regimes._TIME_TILE_BYTES // (8 * (len(x) - 1)))
+        assert len(candidates) == transitions and min(candidates) > tile
+        # each grid's survivors are solved once, in one padded tile
+        assert counter.calls == transitions
+        assert counter.solved <= transitions * tile
+        assert counter.solved < 0.01 * sum(candidates)
 
 
 class TestTiledGrid:
@@ -808,13 +927,12 @@ class TestTiledGrid:
     def test_grid_does_not_depend_on_chunk_size(
         self, monkeypatch, lstar_lagged_generator, tv_kind, kind
     ):
-        # 50-candidate tiles fall under BLAS's small-matrix kernel, whose
-        # bits depend on where a tile starts; no grid here ends on a tile
-        # boundary, so each last tile reaches back.  A time grid's threads
-        # share its tile bytes
+        # 50-candidate lagged tiles fall under BLAS's small-matrix kernel,
+        # whose bits depend on where a tile starts; no grid here ends on a
+        # tile boundary, so each last tile reaches back.  A time grid keeps
+        # its tiles, in the blocked kernel, while the chunk size moves its
+        # banded chunks and which survivors share a tile
         x = simulate(lstar_lagged_generator, 300, 0.1, seed=21)
-        workers = min(regimes._WORKERS, 2)
-        monkeypatch.setattr(regimes, "_TIME_TILES_BYTES", 8 * 299 * 50 * workers)
         monkeypatch.setattr(regimes, "_LAGGED_TILE_BYTES", 8 * 299 * 50)
         default = self.grid_calls(monkeypatch, x, tv_kind, kind)
         assert len(default) == 2
@@ -857,14 +975,14 @@ class TestTiledGrid:
         if second:
             first = _weights(kind, z, 2.0, c_values[len(c_values) // 3])
             base = np.hstack([design, first[:, None] * design])
-        workers = min(regimes._WORKERS, 2)
         if tile_bytes is not None:
-            # a time grid's threads share its tile bytes
-            monkeypatch.setattr(regimes, "_TIME_TILES_BYTES", tile_bytes * workers)
+            monkeypatch.setattr(regimes, "_TIME_TILE_BYTES", tile_bytes)
             monkeypatch.setattr(regimes, "_LAGGED_TILE_BYTES", tile_bytes)
-        # the grid does not end on a tile boundary, so its last tile reaches back
-        tile = regimes._tile_rows(len(y), tv_kind == TIME, workers)
-        assert len(gammas) * len(c_values) % tile
+        # a lagged grid does not end on a tile boundary, so its last tile
+        # reaches back; a time grid is larger than a tile
+        default = regimes._TIME_TILE_BYTES if tv_kind == TIME else regimes._LAGGED_TILE_BYTES
+        tile = -(-default // (8 * len(y)))
+        assert len(gammas) * len(c_values) % tile and len(gammas) * len(c_values) > tile
 
         expected = _chunked_grid(base, design, y, z, gammas, c_values, kind, tv_kind == TIME)
         got = regimes._profiled_grid(base, design, y, z, gammas, c_values, kind, tv_kind == TIME)
@@ -886,44 +1004,47 @@ class TestTiledGrid:
             assert tie[2] == pytest.approx(expected[2], rel=tolerance, abs=0)
 
     @staticmethod
-    def time_grid_peak(points):
+    def time_grid_peak(points, kind="logistic"):
         x = 1.0 + 0.01 * np.cumsum(np.random.default_rng(0).normal(size=2001))
         tracemalloc.start()
         try:
             fit_lstar(
-                x, 1, 1, ThresholdVariable(TIME), gamma_grid=GammaGrid(points=points), refine=False
+                x, 1, 1, ThresholdVariable(TIME), gamma_grid=GammaGrid(points=points),
+                transition=kind, refine=False,
             )
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    def test_time_threshold_memory_is_bounded_by_tiles(self):
-        # the grid's (tile, rows) buffers, 4 MiB together on one or two
-        # threads, one chunk of at most _GRID_CHUNK 4x4 normal equations per
-        # thread with their solve, and inputs of a few columns of 2,000 rows:
-        # under one and a half tiles, as the next two tests derive
-        assert self.time_grid_peak(5) < 1.5 * regimes._TIME_TILES_BYTES
+    @pytest.mark.parametrize("points", [5, 40])
+    def test_time_threshold_memory_is_bounded_by_tiles(self, points):
+        # the banded pass holds one chunk of about 4,096 4x4 normal
+        # equations with their certificate, solve and bounds (about 600
+        # bytes a candidate) and one block of band rows (at most 1 MB); the
+        # survivors take one 2 MiB tile with their table and product rows.
+        # With inputs of a few columns of 2,000 rows, under two tiles
+        assert self.time_grid_peak(points) < 2 * regimes._TIME_TILE_BYTES
 
-    def test_two_grid_threads_share_the_tile_bytes(self, monkeypatch):
-        # two grid threads, each with a 132-row tile (2.11 MB) and chunks of
-        # 4,092 candidates: a thread holds either its buffer with its chunk's
-        # product rows (104 bytes a candidate, 0.43 MB) or, once the buffer
-        # is freed, its chunk's Grams with their screen and solve (480 bytes
-        # a candidate, 1.96 MB), never both.  Two threads and the inputs
-        # (about 0.6 MB) make under 5.7 MB, within one and a half 4 MiB
-        # tiles.  A 4 MiB tile per thread took 9.5 MB here
+    def test_two_grid_threads_hold_a_tile_each(self, monkeypatch):
+        # nearly every exponential Gram is doubtful, so the tiles score the
+        # grid on two threads in chunks of 4,092 candidates: a thread holds
+        # its 2 MiB tile with the chunk's product rows, table and indices
+        # (about 0.6 MB) or, once the tile is freed, the chunk's Grams with
+        # their screen and solve (about 2.5 MB).  Two threads and the inputs
+        # (about 0.6 MB) make under 6.5 MB, within three and a half tiles
         monkeypatch.setattr(regimes, "_WORKERS", 2)
-        assert self.time_grid_peak(40) < 1.5 * regimes._TIME_TILES_BYTES
+        assert self.time_grid_peak(40, "exponential") < 3.5 * regimes._TIME_TILE_BYTES
 
     def test_tile_buffer_is_released_before_the_solve(self, monkeypatch):
         monkeypatch.setattr(regimes, "_WORKERS", 1)
-        # one thread holds either its 4 MiB (tile, rows) buffer with the
-        # chunk's product rows (about 0.85 MB) or, once the buffer is freed,
-        # one chunk of at most _GRID_CHUNK 4x4 normal equations with their
-        # screen and solve (about 4 MB, under one tile), never both; with
-        # inputs of a few columns of 2,000 rows, under one and a half tiles.
-        # A buffer held through the solve adds a tile
-        assert self.time_grid_peak(40) < 1.5 * regimes._TIME_TILES_BYTES
+        # one thread scores the exponential grid's doubtful Grams in chunks
+        # of 8,184 candidates: it holds either its 2 MiB tile with the
+        # chunk's product rows, table and indices (about 1 MB) or, once the
+        # tile is freed, the chunk's 4x4 normal equations with their screen
+        # and solve (about 4 MB), never both; with inputs of a few columns of
+        # 2,000 rows, under two and three quarter tiles.  A tile held
+        # through the solve adds one
+        assert self.time_grid_peak(40, "exponential") < 2.75 * regimes._TIME_TILE_BYTES
 
     @pytest.mark.parametrize("kind", ["logistic", "exponential"])
     def test_lagged_memory_is_bounded_by_tiles(self, monkeypatch, kind):
@@ -979,31 +1100,31 @@ class TestPaddedTileProducts:
             np.vstack([part @ right for part in np.split(w ** power, [big])])
             for power, right in ((1, cross), (1, block_y), (2, auto))
         ]
-        # the tiles of one and of two grid threads, starting at offsets of a
-        # third of a tile in the 4 MiB ones
-        for workers in (1, 2):
-            tile = regimes._tile_rows(rows, True, workers)
-            for start in range(0, len(w) - tile + 1, tile // 3):
-                part = w[start : start + tile]
-                both = part @ lin
-                squares = (part * part) @ auto_wide
-                assert both[:, : kb * ka].tobytes() == separate[0][start : start + tile].tobytes()
-                assert both[:, kb * ka :].tobytes() == separate[1][start : start + tile].tobytes()
-                assert (
-                    squares[:, : auto.shape[1]].tobytes()
-                    == separate[2][start : start + tile].tobytes()
-                )
+        # the grid's tiles, starting at offsets of a third of a tile in the
+        # 4 MiB ones, and a tile of a few rows from anywhere padded with
+        # zeros, as the grid scores its survivors
+        tile = -(-regimes._TIME_TILE_BYTES // (8 * rows))
+        picks = np.sort(rng.choice(len(w), size=tile // 5, replace=False))
+        padded = np.zeros((tile, rows))
+        padded[: len(picks)] = w[picks]
+        tiles = [(w[start : start + tile], np.arange(start, start + tile))
+                 for start in range(0, len(w) - tile + 1, tile // 3)]
+        for part, rows_in in [*tiles, (padded, picks)]:
+            both = (part @ lin)[: len(rows_in)]
+            squares = ((part * part) @ auto_wide)[: len(rows_in)]
+            assert both[:, : kb * ka].tobytes() == separate[0][rows_in].tobytes()
+            assert both[:, kb * ka :].tobytes() == separate[1][rows_in].tobytes()
+            assert squares[:, : auto.shape[1]].tobytes() == separate[2][rows_in].tobytes()
 
-    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("rows", [59, 499, 1999])
-    def test_time_tiles_stay_in_the_blocked_kernel(self, rows, workers):
+    def test_time_tiles_stay_in_the_blocked_kernel(self, rows):
         # the narrowest product, 6 columns for a first transition of order
         # 1, of any full tile takes more multiply-adds than the 1e6 under
-        # which OpenBLAS switches to its small-matrix kernel; a grid's
-        # buffers take the tile bytes, plus under a row each
-        tile = regimes._tile_rows(rows, True, workers)
+        # which OpenBLAS switches to its small-matrix kernel; a tile takes
+        # the tile bytes, plus under a row
+        tile = -(-regimes._TIME_TILE_BYTES // (8 * rows))
         assert tile * rows * 6 > 1_000_000
-        assert workers * (tile - 1) * rows * 8 < regimes._TIME_TILES_BYTES
+        assert (tile - 1) * rows * 8 < regimes._TIME_TILE_BYTES
 
 
 class TestSplitLogistic:
@@ -1287,16 +1408,18 @@ class TestParallelScan:
         "n, fit, pooled",
         [
             # SETAR-2 takes one argmin over its 12,000 thresholds on the calling thread
-            pytest.param(12_000, lambda x, tv: fit_setar(x, 1, 2, tv), False, id="setar2"),
+            pytest.param(12_000, lambda x, tv: fit_setar(x, 1, 2, tv), {}, id="setar2"),
             # the pruned 3-regime scan runs on the calling thread
-            pytest.param(300, lambda x, tv: fit_setar(x, 1, 3, tv), False, id="setar3"),
+            pytest.param(300, lambda x, tv: fit_setar(x, 1, 3, tv), {}, id="setar3"),
+            # a time threshold's logistic survivors take one tile on the
+            # calling thread; its doubtful exponential Grams take the pool
             *[
                 pytest.param(
                     300,
                     lambda x, tv, kind=kind, nt=nt: fit_lstar(
                         x, 1, nt, tv, gamma_grid=GammaGrid(points=40), transition=kind
                     ),
-                    True,
+                    {LAGGED_VALUE, TIME} if kind == "exponential" else {LAGGED_VALUE},
                     id=f"{kind}{nt}",
                 )
                 for kind in ("logistic", "exponential")
@@ -1306,7 +1429,7 @@ class TestParallelScan:
             pytest.param(
                 60,
                 lambda x, tv: fit_lstar(x, 1, 1, tv, gamma_grid=GammaGrid(points=400)),
-                True,
+                {LAGGED_VALUE},
                 id="logistic1-n60",
             ),
         ],
@@ -1331,16 +1454,17 @@ class TestParallelScan:
         # every STAR grid here spans several chunks, so the pool ran where
         # the scan uses one; one worker never starts one
         assert pools[1] == []
-        assert bool(pools[2]) is pooled and bool(pools[3]) is pooled
+        assert bool(pools[2]) is (tv_kind in pooled) and bool(pools[3]) is (tv_kind in pooled)
 
     def test_star_grid_memory_does_not_grow_with_workers(self, monkeypatch):
-        # the bound of test_time_threshold_memory_is_bounded_by_tiles, with
-        # more workers than a STAR grid may use
+        # the bound of test_two_grid_threads_hold_a_tile_each, with more
+        # workers than a STAR grid may use; the doubtful exponential Grams
+        # past the first banded chunk take one pool
         monkeypatch.setattr(regimes, "_WORKERS", 8)
         started = self.pools_started(monkeypatch)
-        peak = TestTiledGrid.time_grid_peak(5)
+        peak = TestTiledGrid.time_grid_peak(5, "exponential")
         assert started == [2]
-        assert peak < 1.5 * regimes._TIME_TILES_BYTES
+        assert peak < 3.5 * regimes._TIME_TILE_BYTES
 
     def test_tile_buffers_survive_frequent_thread_switches(
         self, monkeypatch, lstar_lagged_generator
