@@ -143,15 +143,7 @@ def _cmd_compare(args) -> int:
 
 def _run_config(args) -> PipelineConfig:
     if args.config:
-        try:
-            with open(args.config) as handle:
-                payload = json.load(handle)
-        except OSError as exc:
-            raise RegimevolError(f"cannot open config {args.config}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise RegimevolError(f"invalid config JSON: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise RegimevolError(f"config must be a JSON object, got {type(payload).__name__}")
+        payload = dataio.read_json_object(args.config)
     elif hasattr(args, "input_path"):
         payload = _given(args, PipelineConfig)
     else:

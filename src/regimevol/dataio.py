@@ -171,16 +171,22 @@ def model_from_dict(payload: dict):
     return RegimeModel.from_dict(payload)
 
 
-def load_model_json(path):
+def read_json_object(path) -> dict:
+    """The JSON object in the file at ``path``; a ParseError naming the file if there is none."""
     try:
         with open(path) as handle:
             payload = json.load(handle)
     except OSError as exc:
         raise ParseError(f"cannot open {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # undecodable text too, not only bad JSON
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ParseError(f"{path}: expected a JSON object, got {type(payload).__name__}")
+    return payload
+
+
+def load_model_json(path):
+    payload = read_json_object(path)
     try:
         return model_from_dict(payload)
     except KeyError as exc:

@@ -167,8 +167,9 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "PipelineConfig":
-        payload = dict(payload)
-        payload.pop("schema_version", None)
+        if isinstance(payload, dict):
+            payload = dict(payload)
+            payload.pop("schema_version", None)
         _check_payload(cls, payload, "the run config")
         if ENV_OUTPUT_DIR in os.environ:
             payload["output_dir"] = os.environ[ENV_OUTPUT_DIR]

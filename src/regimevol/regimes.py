@@ -494,48 +494,56 @@ def _certified_well_conditioned(gram: np.ndarray, shift=None) -> np.ndarray:
     caller asks eigvalsh.  Underflow is kept out by requiring s to be normal;
     overflow and NaN leave a pivot that is not positive and finite.
     """
-    k = gram.shape[-1]
     # (row, column, candidate) layout: each step is a few whole-stack vector ops
     a = gram.transpose(1, 2, 0).copy()
-    diagonal = np.arange(k)
+    diagonal = np.arange(gram.shape[-1])
     with np.errstate(all="ignore"):
         if shift is None:
             shift = _CERTIFY_RATIO * np.trace(a)
-        certified = shift >= np.finfo(float).tiny
         a[diagonal, diagonal] -= shift
-        for j in range(k):
-            pivot = a[j, j]
-            certified &= (pivot > 0) & (pivot < np.inf)
-            column = a[j + 1 :, j] / np.sqrt(pivot)
-            # row by row, lower triangle only: no (k, k, candidates) temporary
-            for i in range(j + 1, k):
-                a[i, j + 1 : i + 1] -= column[i - j - 1] * column[: i - j]
-    return certified
+        # the factor's diagonal holds the square roots of the pivots
+        pivots = _cholesky_in_place(a)[diagonal, diagonal]
+        return (shift >= np.finfo(float).tiny) & np.all((pivots > 0) & (pivots < np.inf), axis=0)
 
 
-def _cholesky_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solutions of the stacked positive definite systems ``gram @ beta = rhs``.
+def _cholesky_in_place(a: np.ndarray) -> np.ndarray:
+    """Overwrite the lower triangle of a (row, column, candidate) stack with its Cholesky factor.
 
-    A Cholesky factorization and two triangular solves across the whole
-    stack, a column per step, in the layout of ``_certified_well_conditioned``.
-    The computed beta solves (G + dG) beta = rhs with
-    |dG| <= gamma_(3k+1) |R'||R| (Higham, Accuracy and Stability of Numerical
-    Algorithms, Thm 10.4), and (|R'||R|)_ij <= sqrt(g_ii g_jj).
+    Row by row, reading the lower triangle only: no (k, k, candidates) temporary.
     """
-    k = gram.shape[-1]
-    a = gram.transpose(1, 2, 0).copy()
-    b = rhs.T.copy()
+    k = len(a)
     for j in range(k):
         a[j, j] = np.sqrt(a[j, j])
         a[j + 1 :, j] /= a[j, j]
         for i in range(j + 1, k):
             a[i, j + 1 : i + 1] -= a[i, j] * a[j + 1 : i + 1, j]
+    return a
+
+
+def _cholesky_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solutions of the stacked positive definite systems ``gram @ beta = rhs``.
+
+    ``_cholesky_in_place`` and two triangular solves across the whole stack,
+    a column per step.  The computed beta solves (G + dG) beta = rhs with
+    |dG| <= gamma_(3k+1) |R'||R| (Higham, Accuracy and Stability of Numerical
+    Algorithms, Thm 10.4), and (|R'||R|)_ij <= sqrt(g_ii g_jj).
+    """
+    k = gram.shape[-1]
+    a = _cholesky_in_place(gram.transpose(1, 2, 0).copy())
+    b = rhs.T.copy()
+    for j in range(k):
         b[j] /= a[j, j]
         b[j + 1 :] -= a[j + 1 :, j] * b[j]
     for j in reversed(range(k)):
         b[j] /= a[j, j]
         b[:j] -= a[j, :j] * b[j]
     return b.T
+
+
+def _gamma_u(j):
+    """gamma_j = j u / (1 - j u), u the unit roundoff: Higham's rounding-error constant."""
+    u = np.finfo(float).eps / 2
+    return j * u / (1 - j * u)
 
 
 def _least_eigenvalue_bound(gram: np.ndarray) -> np.ndarray:
@@ -551,7 +559,7 @@ def _least_eigenvalue_bound(gram: np.ndarray) -> np.ndarray:
     trace = np.trace(gram, axis1=1, axis2=2)
     with np.errstate(all="ignore"):
         shift = 0.5 / np.trace(np.linalg.inv(gram), axis1=1, axis2=2)
-        bound = shift - ((k + 1) * u / (1 - (k + 1) * u) + u) * trace
+        bound = shift - (_gamma_u(k + 1) + u) * trace
     return np.where(_certified_well_conditioned(gram, shift), bound, -np.inf)
 
 
@@ -1093,12 +1101,8 @@ def _banded_bounds(kind, at, gammas, lin, auto, btb, bty, yy):
     k = kb + width // (kb + 1)
     u = np.finfo(float).eps / 2
     n_c = len(at)
-
-    def gamma_u(j):
-        return j * u / (1 - j * u)
-
-    e = gamma_u(4 * rows) + 12 * u
-    lu = gamma_u(3 * k) * 2.0 ** (k - 1)
+    e = _gamma_u(4 * rows) + 12 * u
+    lu = _gamma_u(3 * k) * 2.0 ** (k - 1)
     abs_sums, abs_rhs = _normal_equations(
         np.zeros((kb, kb)), np.zeros(kb), np.abs(lin).sum(0)[None], np.abs(auto).sum(0)[None]
     )
@@ -1130,7 +1134,7 @@ def _banded_bounds(kind, at, gammas, lin, auto, btb, bty, yy):
     def bounds(products, lower):
         gram, rhs = _normal_equations(btb, bty, products, lower)
         trace = np.trace(gram, axis1=1, axis2=2)
-        eta = data_norm + (lu * k**1.5 + gamma_u(3 * k + 1)) * trace
+        eta = data_norm + (lu * k**1.5 + _gamma_u(3 * k + 1)) * trace
         certified = _certified_well_conditioned(gram, _CERTIFY_RATIO * trace + 8 * eta)
         gram[~certified], rhs[~certified] = np.eye(k), 0.0
         beta = _cholesky_solve(gram, rhs)
@@ -1139,8 +1143,8 @@ def _banded_bounds(kind, at, gammas, lin, auto, btb, bty, yy):
         error = e * (np.einsum("mi,ij,mj->m", size, abs_sums, size) + 2 * size @ abs_rhs)
         error += lu * size.sum(1) * np.einsum("mij,mj->m", np.abs(gram), size)
         scaled = size * np.sqrt(np.einsum("mii->mi", gram))
-        error += gamma_u(3 * k + 1) * np.square(scaled.sum(1))
-        error += 2 * gamma_u(k) * np.einsum("mk,mk->m", np.abs(rhs), size) + 2 * u * np.abs(rss)
+        error += _gamma_u(3 * k + 1) * np.square(scaled.sum(1))
+        error += 2 * _gamma_u(k) * np.einsum("mk,mk->m", np.abs(rhs), size) + 2 * u * np.abs(rss)
         margin = 2 * error
         valid = certified & np.isfinite(margin)
         floor = np.where(valid, rss - margin, -np.inf)
@@ -1244,7 +1248,9 @@ def _profiled_grid(base, block, y, z, gammas, c_values, kind, time_threshold):
     thread.  Nearly every time-threshold ESTAR Gram is doubtful, so once
     more than half of the candidates bounded so far have no floor, the rest
     of the grid goes to the tiles unbounded, on up to two threads like a
-    lagged grid, in chunks of whole tiles.
+    lagged grid, in chunks of whole tiles.  Survivors and unbounded ranges
+    of candidates reach the tiles through the same scan, and separate scans
+    merge by candidate index, so ties keep the first.
 
     A 2 MiB tile makes 2**18 multiply-adds per product column, and the
     narrowest product has 6 columns, so every full tile's products take
@@ -1276,11 +1282,12 @@ def _profiled_grid(base, block, y, z, gammas, c_values, kind, time_threshold):
         tile = min(n_candidates, -(-_TIME_TILE_BYTES // (8 * rows)))
         at = (c_values - z[0]).astype(np.intp)
 
-        def exact(picks):
+        def score(picks):
             # tile by tile, zero past the last pick.  The picks read windows
             # of one table of their gammas' transitions on the lags they
             # reach, the floats z - c; a run of one gamma and consecutive c
             # is one reversed slab
+            picks = np.asarray(picks)
             weights = np.empty((tile, rows))
             m = len(picks)
             products = np.empty((m, lin.shape[1]))
@@ -1308,99 +1315,84 @@ def _profiled_grid(base, block, y, z, gammas, c_values, kind, time_threshold):
             del weights, squares, table, windows
             return _screened_rss(*_normal_equations(btb, bty, products, lower), yy)
 
-        workers = min(_WORKERS, 2)
-        chunk = tile * max(1, _GRID_CHUNK // (workers * tile))
-        best, best_rss = -1, np.inf
-        cutoff = np.inf
+    else:
+        if kind == LOGISTIC:
+            split = _split_logistic(z, c_values)
+        tile = min(n_candidates, -(-_LAGGED_TILE_BYTES // (8 * rows)))
+
+        def fill(picks, weights):
+            pick_g, pick_c = picks // n_c, picks % n_c
+            if kind != LOGISTIC:
+                return _transition_weights(
+                    kind, z, gammas[pick_g, None], c_values[pick_c, None], weights
+                )
+            # candidates are gamma-major, so a tile is a few runs of one gamma
+            cuts = [0, *(np.flatnonzero(np.diff(pick_g)) + 1), len(picks)]
+            for lo, hi in zip(cuts, cuts[1:]):
+                split(gammas[pick_g[lo]], c_values[pick_c[lo:hi]], weights[lo:hi])
+            return weights
+
+        def score(picks):
+            # picks is a range: a lagged grid is scanned whole
+            weights = np.empty((tile, rows))
+            products = np.empty((len(picks), kb * ka + ka))
+            lower = np.empty((len(picks), auto.shape[1]))
+            for lo in range(picks.start, picks.stop, tile):
+                hi = min(lo + tile, picks.stop)
+                # the grid's short last tile reaches back over scored rows
+                first = max(0, hi - tile)
+                w = fill(np.arange(first, hi), weights)
+                done, new = slice(lo - picks.start, hi - picks.start), slice(lo - first, None)
+                products[done, : kb * ka] = (w @ cross)[new]
+                products[done, kb * ka :] = (w @ block_y)[new]
+                lower[done] = (np.multiply(w, w, out=w) @ auto)[new]
+            del weights, w
+            return _screened_rss(*_normal_equations(btb, bty, products, lower), yy)
+
+    # each chunk holds a (tile, rows) buffer: two threads at most keep a
+    # lagged grid's buffers within 2 MiB on any host
+    workers = min(_WORKERS, 2)
+    chunk = tile * max(1, _GRID_CHUNK // (workers * tile))
+    best, best_rss = -1, np.inf
+
+    def settle(picks):
+        # the first least tile RSS of picks, increasing candidate indices (an
+        # array or a range) read picks[lo:hi] a chunk at a time, against the
+        # best so far: separate scans merge by index, so ties keep the first
+        nonlocal best, best_rss
+        try:
+            pick, rss = _first_min(len(picks), lambda lo, hi: score(picks[lo:hi]), chunk, workers)
+        except NoFeasibleThreshold:
+            return
+        if rss < best_rss or (rss == best_rss and picks[pick] < best):
+            best, best_rss = int(picks[pick]), rss
+
+    # a time grid of more than one tile first bounds every candidate; a
+    # grid of one tile is one product, unbounded
+    stop = 0
+    if time_threshold and n_candidates > tile:
+        cutoff, unfloored = np.inf, 0
         pending, floors = np.empty(0, np.intp), np.empty(0)
-
-        def settle(count, picks):
-            # the first least tile RSS of count candidates, picks(lo, hi)
-            # of them at a time in increasing order, against the best so far
-            nonlocal best, best_rss, cutoff
-            try:
-                pick, rss = _first_min(count, lambda lo, hi: exact(picks(lo, hi)), chunk, workers)
-            except NoFeasibleThreshold:
-                return
-            pick = int(picks(pick, pick + 1)[0])
-            if rss < best_rss or (rss == best_rss and pick < best):
-                best, best_rss = pick, rss
-            cutoff = min(cutoff, best_rss)
-
-        # a grid of one tile is one product, unbounded
-        bounds = ()
-        if n_candidates > tile:
-            bounds = _banded_bounds(kind, at, gammas, lin, auto, btb, bty, yy)
-        stop = bounded = unfloored = 0
-        for start, floor, ceiling in bounds:
+        for start, floor, ceiling in _banded_bounds(kind, at, gammas, lin, auto, btb, bty, yy):
             stop = start + len(floor)
-            bounded += len(floor)
             unfloored += int(np.count_nonzero(floor == -np.inf))
-            cutoff = min(cutoff, float(ceiling.min()))
+            cutoff = min(cutoff, float(ceiling.min()), best_rss)
             keep = floors <= cutoff
             alive = np.flatnonzero(floor <= cutoff)
             pending = np.concatenate([pending[keep], start + alive])
             floors = np.concatenate([floors[keep], floor[alive]])
-            if unfloored > bounded // 2:
+            if unfloored > stop // 2:
                 # most Grams are doubtful: the tiles screen the rest unbounded
                 break
             if len(pending) >= _GRID_CHUNK:
-                pending.sort()
-                settle(len(pending), lambda lo, hi: pending[lo:hi])
+                settle(pending)
                 pending, floors = pending[:0], floors[:0]
-        del bounds  # and with it a generator stopped early
-        # the survivors, then every candidate from stop on, in one scan
-        pending = np.sort(pending[floors <= cutoff])
-        shift = stop - len(pending)
-        settle(
-            n_candidates - shift,
-            lambda lo, hi: np.concatenate(
-                [pending[lo:hi], np.arange(max(lo, len(pending)), max(hi, len(pending))) + shift]
-            ),
-        )
-        if best < 0:
-            raise NoFeasibleThreshold("every candidate threshold is rank deficient")
-        return float(gammas[best // n_c]), float(c_values[best % n_c]), best_rss
-
-    if kind == LOGISTIC:
-        split = _split_logistic(z, c_values)
-    workers = min(_WORKERS, 2)
-    tile = min(n_candidates, -(-_LAGGED_TILE_BYTES // (8 * rows)))
-
-    def fill(picks, weights):
-        pick_g, pick_c = picks // n_c, picks % n_c
-        if kind != LOGISTIC:
-            return _transition_weights(
-                kind, z, gammas[pick_g, None], c_values[pick_c, None], weights
-            )
-        # candidates are gamma-major, so a tile is a few runs of one gamma
-        cuts = [0, *(np.flatnonzero(np.diff(pick_g)) + 1), len(picks)]
-        for lo, hi in zip(cuts, cuts[1:]):
-            split(gammas[pick_g[lo]], c_values[pick_c[lo:hi]], weights[lo:hi])
-        return weights
-
-    def tiled(start, stop):
-        weights = np.empty((tile, rows))
-        m = stop - start
-        products = np.empty((m, kb * ka + ka))
-        lower = np.empty((m, auto.shape[1]))
-        for lo in range(start, stop, tile):
-            hi = min(lo + tile, stop)
-            # the grid's short last tile reaches back over scored rows
-            first = max(0, hi - tile)
-            w = fill(np.arange(first, hi), weights)
-            done, new = slice(lo - start, hi - start), slice(lo - first, None)
-            products[done, : kb * ka] = (w @ cross)[new]
-            products[done, kb * ka :] = (w @ block_y)[new]
-            lower[done] = (np.multiply(w, w, out=w) @ auto)[new]
-        del weights, w
-        return _screened_rss(*_normal_equations(btb, bty, products, lower), yy)
-
-    # each chunk holds a (tile, rows) buffer: two threads at most keep a
-    # lagged grid's buffers within 2 MiB on any host
-    chunk = tile * max(1, _GRID_CHUNK // (workers * tile))
-    best, rss = _first_min(n_candidates, tiled, chunk, workers)
-    return float(gammas[best // n_c]), float(c_values[best % n_c]), rss
+        settle(pending[floors <= cutoff])
+    # every candidate from stop on: all of an unbounded grid
+    settle(range(stop, n_candidates))
+    if best < 0:
+        raise NoFeasibleThreshold("every candidate threshold is rank deficient")
+    return float(gammas[best // n_c]), float(c_values[best % n_c]), best_rss
 
 
 def _pack_star(theta, k1, n_transitions):

@@ -323,7 +323,19 @@ class TestCliCommands:
             ),
             pytest.param(
                 ["run", "--config", "{tmp}/list.json"],
-                "config", "JSON object", id="config-not-an-object",
+                "config", "list.json: expected a JSON object, got list", id="config-not-an-object",
+            ),
+            pytest.param(
+                ["run", "--config", "{tmp}/absent.json"],
+                "config", "cannot open", id="config-missing",
+            ),
+            pytest.param(
+                ["run", "--config", "{tmp}/truncated.json"],
+                "config", "truncated.json: invalid JSON", id="config-invalid-json",
+            ),
+            pytest.param(
+                ["run", "--config", "{tmp}/latin1.json"],
+                "config", "latin1.json: invalid JSON", id="config-not-utf8",
             ),
             pytest.param(
                 ["run", "--config", "{tmp}/string-model.json"],
@@ -373,6 +385,10 @@ class TestCliCommands:
             pytest.param(
                 ["simulate", "{tmp}/setar0-lagged-model.json", "--length", "5"],
                 "simulate", "delay 1 exceeds order 0", id="simulate-delay-above-order",
+            ),
+            pytest.param(
+                ["simulate", "{tmp}/latin1.json", "--length", "5"],
+                "simulate", "latin1.json: invalid JSON", id="simulate-model-not-utf8",
             ),
             pytest.param(
                 ["simulate", "{tmp}/list-model.json", "--length", "5"],
@@ -584,6 +600,10 @@ class TestCliCommands:
             json.dumps({**config, "models": [{"kind": "ar", "order": 1, "lags": 2}]})
         )
         (tmp_path / "list.json").write_text(json.dumps([config]))
+        (tmp_path / "truncated.json").write_text(json.dumps(config)[:-1])
+        (tmp_path / "latin1.json").write_bytes(
+            json.dumps({**config, "output_dir": "é"}, ensure_ascii=False).encode("latin-1")
+        )
         (tmp_path / "string-model.json").write_text(json.dumps({**config, "models": ["ar"]}))
         (tmp_path / "string-window.json").write_text(
             json.dumps({**config, "volatility_window": "60"})
@@ -830,6 +850,12 @@ def test_a_run_config_is_a_config_or_one_value_error(kind, target, value):
         return
     assert isinstance(config, PipelineConfig)
     assert all(isinstance(m, ModelRequest) for m in config.models)
+
+
+@pytest.mark.parametrize("payload", [[1, 2], 3, "ab", None])
+def test_a_run_config_that_is_not_an_object_is_one_value_error(payload):
+    with pytest.raises(ValueError, match="^the run config must be a JSON object, got "):
+        PipelineConfig.from_dict(payload)
 
 
 @pytest.fixture(scope="module")
